@@ -18,13 +18,24 @@ class Poly:
     Terms live in a dict mapping the exponent pair (a, b) of X^a*Y^b to a
     nonzero integer coefficient; zero coefficients are never stored, so dict
     equality is exact polynomial equality.  Instances are immutable: every
-    operation returns a fresh Poly.
+    operation returns a fresh Poly.  The constructor refuses coefficients
+    that are not ints (bools included) and exponents that are not
+    non-negative ints, with ValueError.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self._terms = {e: c for e, c in dict(terms or {}).items() if c}
+        checked = {}
+        for e, c in dict(terms or {}).items():
+            pair = isinstance(e, tuple) and len(e) == 2
+            if not (pair and all(type(x) is int and x >= 0 for x in e)):
+                raise ValueError(f"exponents must be a pair of non-negative ints, got {e!r}")
+            if type(c) is not int:  # bool and float are refused, not coerced
+                raise ValueError(f"coefficients must be ints, got {c!r} at {e!r}")
+            if c:
+                checked[e] = c
+        self._terms = checked
 
     @classmethod
     def _raw(cls, terms: dict) -> "Poly":
@@ -36,12 +47,6 @@ class Poly:
     @classmethod
     def constant(cls, c: int) -> "Poly":
         return cls._raw({(0, 0): c} if c else {})
-
-    @classmethod
-    def monomial(cls, coeff: int, a: int, b: int) -> "Poly":
-        if a < 0 or b < 0:
-            raise ValueError("exponents must be non-negative")
-        return cls._raw({(a, b): coeff} if coeff else {})
 
     @property
     def terms(self) -> dict[tuple[int, int], int]:
@@ -58,6 +63,8 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {(0, 0)}:  # a constant equals its int, so hashes like it
+            return hash(self._terms.get((0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "Poly":

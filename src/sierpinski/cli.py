@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 
 from . import identities, matrices
 from .algebra import ONE, ZERO, Poly, X, Y
@@ -21,14 +20,6 @@ USAGE_ERROR = 2
 COUNTEREXAMPLE = 1
 
 _ARGS = {"x": X, "one": ONE, "zero": ZERO}
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    rows_or_order: int
-    modulus: int
-    format: str  # ascii | pbm | csv
-    source: str  # pascal-mod | matrix-ones
 
 
 def _positive_int(text: str) -> int:
@@ -197,15 +188,15 @@ def cmd_verify(args, out) -> int:
     return 0 if ok else COUNTEREXAMPLE
 
 
-def _triangle_cells(spec: RenderSpec):
-    if spec.source == "matrix-ones":
-        matrix = matrices.build_closed_form(spec.rows_or_order, ONE)
+def _triangle_cells(source: str, rows_or_order: int, modulus: int):
+    if source == "matrix-ones":
+        matrix = matrices.build_closed_form(rows_or_order, ONE)
         rows = []
         for j in range(matrix.size):
             stored = {k for k, _ in matrix.rows[j]}
             rows.append(tuple(1 if k in stored else 0 for k in range(j + 1)))
         return tuple(rows)
-    return identities.pascal_mod(spec.rows_or_order, spec.modulus).cells
+    return identities.pascal_mod(rows_or_order, modulus).cells
 
 
 def render_ascii(cells, modulus: int) -> str:
@@ -241,16 +232,11 @@ def cmd_triangle(args, out) -> int:
         raise ValueError("--source pascal-mod requires --rows")
     if source == "matrix-ones" and args.mod != 2:
         raise ValueError("matrix-ones patterns are mod-2 only")
-    spec = RenderSpec(
-        rows_or_order=args.order if source == "matrix-ones" else args.rows,
-        modulus=args.mod,
-        format=args.format,
-        source=source,
-    )
-    cells = _triangle_cells(spec)
-    if spec.format == "ascii":
-        print(render_ascii(cells, spec.modulus), file=out)
-    elif spec.format == "pbm":
+    rows_or_order = args.order if source == "matrix-ones" else args.rows
+    cells = _triangle_cells(source, rows_or_order, args.mod)
+    if args.format == "ascii":
+        print(render_ascii(cells, args.mod), file=out)
+    elif args.format == "pbm":
         print(render_pbm(cells), file=out)
     else:
         writer = csv.writer(out)

@@ -9,7 +9,10 @@ the test suite before anything else relies on them.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DigitVector",
@@ -70,9 +73,6 @@ class DigitVector:
         if not isinstance(other, DigitVector):
             return NotImplemented
         return self.value == other.value and self.base == other.base
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.base))
 
     def __repr__(self) -> str:
         return f"DigitVector({self.value}, base={self.base})"
@@ -137,8 +137,11 @@ def carry_count_grid(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (n, k, carries) as parallel flat arrays, pairs ordered by n then
     k.  The carries are produced by the same digit-wise long addition as
     `carry_count`, vectorized across all pairs; the scalar routine remains
-    the reference the grid is checked against.
+    the reference the grid is checked against.  numpy is imported here, the
+    package's only use of it, so importing the package does not load it.
     """
+    import numpy as np
+
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     lengths = np.arange(n_max, dtype=np.int64) + 1

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import ONE, Poly, X, Y, binomial, p_adic_valuation
 from .digits import carry_count, carry_free, carry_free_summands, is_prime, sum_of_digits
 from .errors import SizeLimitError
@@ -26,6 +24,7 @@ __all__ = [
     "TermList",
     "TriangleMod",
     "Report",
+    "PairCounts",
     "EXPONENT_CAP",
     "digital_expansion",
     "exponent_pair_counts",
@@ -38,13 +37,6 @@ __all__ = [
 ]
 
 EXPONENT_CAP = 24  # 2^24 summands is the default ceiling for one expansion
-
-# Expansions up to this digit sum are summed straight off the materialized
-# TermList; larger ones stream through the blocked numpy kernel instead of
-# holding 2^s(m) tuples in memory.
-_MATERIALIZE_CAP = 12
-
-_BLOCK_BITS = 17  # kernel chunk of 2^17 entries keeps buffers cache-resident
 
 
 @dataclass(frozen=True)
@@ -93,6 +85,7 @@ class Report:
     lhs: str = ""
     rhs: str = ""
     first_mismatch: str = ""
+    cases: int = 0  # inputs the check covered; not part of to_text()
 
     @property
     def status(self) -> str:
@@ -116,89 +109,94 @@ class Report:
         return "\n".join(lines)
 
 
+def _check_exponent_cap(m: int, sigma: int, cap: int) -> None:
+    if sigma > cap:
+        raise SizeLimitError(
+            f"s({m}) = {sigma} exceeds the exponent cap {cap}: "
+            f"the expansion would hold 2^{sigma} terms"
+        )
+
+
 def digital_expansion(m: int) -> TermList:
-    """TermList of m: one (k, s(k), s(m-k)) triple per carry-free summand."""
+    """TermList of m: one (k, s(k), s(m-k)) triple per carry-free summand.
+
+    Refused before anything is enumerated when s(m) > EXPONENT_CAP.
+    """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
+    _check_exponent_cap(m, m.bit_count(), EXPONENT_CAP)
     terms = tuple((k, sum_of_digits(k), sum_of_digits(m - k)) for k in carry_free_summands(m))
     return TermList(m, terms)
 
 
-def _fill_submasks(mask: int, buf: np.ndarray) -> np.ndarray:
-    buf[0] = 0
-    half = 1
-    while mask:
-        bit = mask & -mask
-        np.add(buf[:half], np.uint64(bit), out=buf[half : 2 * half])
-        half <<= 1
-        mask ^= bit
-    return buf[:half]
+# Long subtraction m - k, one binary digit at a time: for each (digit of m,
+# borrow in), the (digit of k, digit of m-k, borrow out) of both digits of k.
+_SUBTRACT = tuple(
+    tuple(
+        tuple((kd, (bit - kd - borrow) & 1, int(bit - kd - borrow < 0)) for kd in (0, 1))
+        for borrow in (0, 1)
+    )
+    for bit in (0, 1)
+)
 
 
-def _low_bits(mask: int, count: int) -> int:
-    out = 0
-    for _ in range(count):
-        bit = mask & -mask
-        out |= bit
-        mask ^= bit
-    return out
+class PairCounts(dict):
+    """(s(k), s(m-k)) -> multiplicity; `cases` is how many k in [0, m] were walked."""
+
+    cases = 0
 
 
-def exponent_pair_counts(m: int) -> dict[tuple[int, int], int]:
+def exponent_pair_counts(m: int) -> PairCounts:
     """Multiset of (s(k), s(m-k)) over every carry-free summand k of m.
 
-    Streams the full enumeration in cache-sized blocks: every k is visited
-    and both digit sums are popcounted from the actual integers k and m-k,
-    so nothing here assumes the additivity being verified downstream.
-    Requires m < 2^64 for the vectorized popcounts.
+    One digit walk over all k < 2^bitlen(m) at once, least significant bit
+    first.  A state is (borrow, s(k) so far, s(m-k) so far) and counts the
+    k prefixes in it.  Each digit of m-k comes from the long subtraction
+    m - k with an explicit borrow; a k leaves the tally at the first digit
+    where k + (m-k) carries, and is kept as one untallied count per borrow.
+    States still borrowing at the end are the k > m and are discarded, so
+    `cases`, the k kept or carried, must come out as m + 1.
+
+    Independence: nothing here assumes that carry-free k are the submasks
+    of m, or that digit sums add without a carry.  Both digit sums come
+    from the digits the subtraction produces and the carry test is the
+    schoolbook one, so a wrong borrow or a missed carry changes the table
+    verify_digital_binomial compares with (X+Y)^s(m).  The cost is
+    O(bitlen(m) * s(m)) dict updates, not 2^s(m), for m of any size.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    if m >> 64:
-        raise SizeLimitError(f"m must fit in 64 bits, got {m.bit_length()} bits")
-    sigma = m.bit_count()
-    low = _low_bits(m, min(sigma, _BLOCK_BITS))
-    high = m ^ low
-    lowbuf = np.empty(1 << min(sigma, _BLOCK_BITS), dtype=np.uint64)
-    subs_low = _fill_submasks(low, lowbuf)
-    size = subs_low.size
-    work = np.empty(size, dtype=np.uint64)
-    pa = np.empty(size, dtype=np.uint8)
-    pb = np.empty(size, dtype=np.uint8)
-    keys = np.empty(size, dtype=np.uint16)
-    bins = ((64 << 8) | 64) + 1  # keys pack (s(k), s(m-k)), each < 65
-    totals = np.zeros(bins, dtype=np.int64)
-    h = 0
-    while True:
-        np.add(subs_low, np.uint64(h), out=work)  # k = h | low, disjoint parts
-        np.bitwise_count(work, out=pa)
-        np.subtract(np.uint64(m - h), subs_low, out=work)  # m - k
-        np.bitwise_count(work, out=pb)
-        keys[:] = pa
-        keys <<= 8
-        keys |= pb
-        totals += np.bincount(keys, minlength=bins)
-        if h == high:
-            break
-        h = (h - high) & high
-    return {(key >> 8, key & 0xFF): int(c) for key, c in enumerate(totals) if c}
+    states = {(0, 0, 0): 1}
+    carried = [0, 0]  # k prefixes whose addition already carried, by borrow
+    for i in range(m.bit_length()):
+        steps = _SUBTRACT[(m >> i) & 1]
+        nxt: dict[tuple[int, int, int], int] = {}
+        spill = [0, 0]
+        for (borrow, a, b), count in states.items():
+            for kd, dd, out in steps[borrow]:
+                if kd + dd > 1:
+                    spill[out] += count
+                else:
+                    key = (out, a + kd, b + dd)
+                    nxt[key] = nxt.get(key, 0) + count
+        for borrow, count in enumerate(carried):
+            for _, _, out in steps[borrow]:
+                spill[out] += count
+        states, carried = nxt, spill
+    counts = PairCounts(((a, b), c) for (borrow, a, b), c in states.items() if not borrow)
+    counts.cases = sum(counts.values()) + carried[0]
+    return counts
 
 
 def verify_digital_binomial(m: int, exponent_cap: int = EXPONENT_CAP) -> Report:
-    """Compare (X+Y)^s(m) against the carry-free expansion of m, exactly."""
+    """Compare (X+Y)^s(m) with the exponent_pair_counts digit walk of m, exactly."""
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     sigma = sum_of_digits(m)
-    if sigma > exponent_cap:
-        raise SizeLimitError(
-            f"s({m}) = {sigma} exceeds the exponent cap {exponent_cap}: "
-            f"the expansion would hold 2^{sigma} terms"
-        )
+    _check_exponent_cap(m, sigma, exponent_cap)
     lhs = (X + Y) ** sigma
-    if sigma <= _MATERIALIZE_CAP:
-        rhs = digital_expansion(m).collect()
-    else:
-        rhs = Poly(exponent_pair_counts(m))
+    counts = exponent_pair_counts(m)
+    rhs = Poly(counts)
     passed = lhs == rhs
     mismatch = ""
     if not passed:
@@ -212,6 +210,7 @@ def verify_digital_binomial(m: int, exponent_cap: int = EXPONENT_CAP) -> Report:
         lhs=str(lhs),
         rhs=str(rhs),
         first_mismatch=mismatch,
+        cases=counts.cases,
     )
 
 

@@ -142,9 +142,6 @@ class PolyMatrix:
             return NotImplemented
         return self.order == other.order and self._rows == other._rows
 
-    def __hash__(self) -> int:
-        return hash((self.order, tuple(frozenset(r.items()) for r in self._rows)))
-
     def __matmul__(self, other) -> "PolyMatrix":
         return matmul(self, other)
 

@@ -92,6 +92,25 @@ class TestPolyBasics:
         assert hash(X + Y - Y) == hash(X)
         assert hash(Poly.constant(0)) == hash(ZERO)
 
+    def test_constant_hashes_like_its_int(self):
+        # Poly.constant(c) == c, so the two must collapse in a set
+        assert len({5, Poly.constant(5)}) == 1
+        assert len({0, ZERO}) == 1
+        assert hash(Poly.constant(-7)) == hash(-7)
+
+    def test_rejects_float_coefficient(self):
+        with pytest.raises(ValueError):
+            Poly({(1, 0): 2.5})
+
+    def test_rejects_bool_coefficient(self):
+        with pytest.raises(ValueError):
+            Poly({(1, 0): True})
+
+    def test_rejects_bad_exponents(self):
+        for exponents in ((-1, 0), (0, -2), (0.5, 0), (True, 0), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                Poly({exponents: 1})
+
 
 class TestSerialization:
     def test_canonical_string(self):

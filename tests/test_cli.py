@@ -121,6 +121,13 @@ class TestExpand:
     def test_malformed(self):
         assert run_cli("expand", "x").returncode == 2
 
+    def test_over_exponent_cap_exits_2(self):
+        result = run_cli("expand", "33554431")  # s(m) = 25
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
 
 class TestVerify:
     def test_group_order_four(self):
@@ -228,6 +235,11 @@ class TestCounterexampleExit:
 
 
 class TestContract:
+    def test_import_does_not_load_numpy(self):
+        code = "import sys, sierpinski.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
     def test_deterministic_output(self):
         first = run_cli("matrix", "5", "--arg", "x")
         second = run_cli("matrix", "5", "--arg", "x")

@@ -1,5 +1,6 @@
 """Identity verifiers against brute-force enumeration and exact binomials."""
 
+import math
 import random
 
 import pytest
@@ -31,6 +32,13 @@ def brute_force_expansion(m):
     ]
 
 
+def pair_counts(terms):
+    counts = {}
+    for _, a, b in terms:
+        counts[(a, b)] = counts.get((a, b), 0) + 1
+    return counts
+
+
 class TestDigitalExpansion:
     def test_m_three(self):
         t = digital_expansion(3)
@@ -49,6 +57,16 @@ class TestDigitalExpansion:
     def test_against_brute_force(self):
         for m in range(300):
             assert digital_expansion(m).terms == tuple(brute_force_expansion(m))
+
+    def test_exponent_cap_refuses_before_enumerating(self, monkeypatch):
+        from sierpinski import identities
+
+        def enumerate_nothing(m):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(identities, "carry_free_summands", enumerate_nothing)
+        with pytest.raises(SizeLimitError, match="cap"):
+            digital_expansion((1 << 25) - 1)
 
     def test_structural_invariants(self):
         for m in range(1 << 10):
@@ -77,6 +95,27 @@ class TestExponentPairCounts:
 
     def test_zero(self):
         assert exponent_pair_counts(0) == {(0, 0): 1}
+
+    def test_matches_expansion_exhaustive(self):
+        for m in range(4096):
+            assert exponent_pair_counts(m) == pair_counts(digital_expansion(m).terms)
+
+    def test_matches_expansion_random_40_bit(self):
+        rng = random.Random(4040)
+        for _ in range(40):
+            m = sum(1 << b for b in rng.sample(range(40), rng.randint(0, 18)))
+            assert exponent_pair_counts(m) == pair_counts(digital_expansion(m).terms)
+
+    def test_matches_brute_force_scan(self):
+        # the oracle scans all of [0, m] through the long-addition carry test
+        for m in range(512):
+            assert exponent_pair_counts(m) == pair_counts(brute_force_expansion(m))
+
+    def test_all_ones_beyond_64_bits(self):
+        for n in (64, 100):
+            counts = exponent_pair_counts((1 << n) - 1)
+            assert counts == {(k, n - k): math.comb(n, k) for k in range(n + 1)}
+            assert counts.cases == 1 << n
 
 
 class TestVerifyDigitalBinomial:
@@ -107,6 +146,11 @@ class TestVerifyDigitalBinomial:
                 continue
             assert verify_digital_binomial(m).passed
             done += 1
+
+    def test_cases_cover_zero_through_m(self):
+        # the walk covers every k in [0, m], not only the submasks of m
+        for m in range(4096):
+            assert verify_digital_binomial(m).cases == m + 1
 
     def test_exponent_cap(self):
         with pytest.raises(SizeLimitError, match="cap"):
