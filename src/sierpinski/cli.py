@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 from . import identities, matrices
@@ -109,10 +110,8 @@ def cmd_matrix(args, out) -> int:
     if args.format == "poly":
         print(matrix.dump(), file=out)
     else:
-        poly_rows = matrix.to_poly_matrix()
-        for j in range(matrix.size):
-            row = poly_rows.row(j)
-            print(" ".join(row[k].pretty() if k in row else "0" for k in range(matrix.size)), file=out)
+        for line in matrix.grid(Poly.pretty, " "):
+            print(line, file=out)
     return 0
 
 
@@ -260,8 +259,18 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         if args.output:
-            with open(args.output, "w", newline="") as out:
-                return handler(args, out)
+            # a temp file beside the target, renamed over it only on success,
+            # so an error never leaves a truncated or half-written file
+            tmp = f"{args.output}.{os.getpid()}.tmp"
+            out = open(tmp, "x", newline="")
+            try:
+                with out:
+                    rc = handler(args, out)
+                os.replace(tmp, args.output)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+            return rc
         return handler(args, sys.stdout)
     except (SizeLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

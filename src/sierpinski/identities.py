@@ -125,7 +125,7 @@ def digital_expansion(m: int) -> TermList:
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     _check_exponent_cap(m, m.bit_count(), EXPONENT_CAP)
-    terms = tuple((k, sum_of_digits(k), sum_of_digits(m - k)) for k in carry_free_summands(m))
+    terms = tuple((k, k.bit_count(), (m - k).bit_count()) for k in carry_free_summands(m))
     return TermList(m, terms)
 
 

@@ -18,9 +18,9 @@ Their agreement over all orders is one of the package's core checks.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 
 from .algebra import ONE, Poly
-from .digits import sum_of_digits
 from .errors import SizeLimitError
 
 __all__ = [
@@ -83,23 +83,26 @@ class MonomialMatrix:
         e = self.exponent(j, k)
         return Poly() if e is None else self.argument**e
 
+    def _powers(self) -> dict[int, Poly]:
+        """argument**e for every stored exponent e, each computed once."""
+        return {e: self.argument**e for e in {e for row in self.rows for _, e in row}}
+
     def to_poly_matrix(self) -> "PolyMatrix":
-        powers: dict[int, Poly] = {}
-        rows = []
+        powers = self._powers()  # a zero power is dropped by PolyMatrix
+        return PolyMatrix(self.order, ({k: powers[e] for k, e in row} for row in self.rows))
+
+    def grid(self, render=str, sep: str = "\t"):
+        """Lines of the full square grid, render run once per exponent; zero is "0"."""
+        tokens = {e: render(p) for e, p in self._powers().items()}
         for row in self.rows:
-            out = {}
+            cells = ["0"] * self.size
             for k, e in row:
-                p = powers.get(e)
-                if p is None:
-                    p = powers[e] = self.argument**e
-                if p:  # a zero argument kills every positive power
-                    out[k] = p
-            rows.append(out)
-        return PolyMatrix(self.order, rows)
+                cells[k] = tokens[e]
+            yield sep.join(cells)
 
     def dump(self) -> str:
         """Full square grid, one row per line, tab-separated canonical entries."""
-        return self.to_poly_matrix().dump()
+        return "\n".join(self.grid())
 
     def __repr__(self) -> str:
         return f"MonomialMatrix(order={self.order}, argument={self.argument})"
@@ -186,7 +189,7 @@ def build_closed_form(n: int, argument: Poly, max_order: int = MAX_BUILD_ORDER) 
         row = []
         k = 0
         while True:
-            row.append((k, sum_of_digits(j - k)))
+            row.append((k, (j - k).bit_count()))
             if k == j:
                 break
             k = (k - j) & j
@@ -226,10 +229,27 @@ def kron(a, b, max_order: int = MAX_BUILD_ORDER) -> PolyMatrix:
     return PolyMatrix(order, rows)
 
 
+def _keyed(m: MonomialMatrix | PolyMatrix):
+    """(column, key) rows and a key -> Poly lookup; a key is an exponent or an interned entry."""
+    if isinstance(m, MonomialMatrix):
+        return m.rows, m._powers()
+    keys: dict[Poly, int] = {}
+    rows = [[(k, keys.setdefault(p, len(keys))) for k, p in row.items()] for row in m._rows]
+    return rows, list(keys)
+
+
 def matmul(a, b, max_order: int = MAX_MUL_ORDER) -> PolyMatrix:
-    """Exact product of two equal-order lower-triangular matrices."""
-    a = _promote(a)
-    b = _promote(b)
+    """Exact product of two equal-order lower-triangular matrices.
+
+    Entry (j, l) is the definitional sum over k of a[j][k] * b[k][l].  Its
+    terms are only grouped by multiplicity: row j tallies (l, key of
+    a[j][k], key of b[k][l]) over every k, each distinct key pair is
+    multiplied out once, and its terms enter entry l times their count.
+
+    Independence: nothing here assumes the group law.  Every k is visited
+    and tallied, so S_n(x) S_n(y) is still the schoolbook sum, and the side
+    it is compared with comes from build_recursive(n, X+Y) and (X+Y)**e.
+    """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
     if a.order > max_order:
@@ -237,20 +257,34 @@ def matmul(a, b, max_order: int = MAX_MUL_ORDER) -> PolyMatrix:
             f"order {a.order} exceeds the multiplication limit {max_order}: "
             f"each factor holds 3^{a.order} = {3**a.order} entries"
         )
+    rows_a, values_a = _keyed(a)
+    rows_b, values_b = _keyed(b)
+    products: dict[tuple, dict] = {}
     rows = []
-    for j in range(a.size):
-        acc: dict[int, Poly] = {}
-        for k, left in a._rows[j].items():
-            for l, right in b._rows[k].items():
-                prod = left * right
-                cur = acc.get(l)
-                acc[l] = prod if cur is None else cur + prod
-        rows.append({l: p for l, p in acc.items() if p})
+    for row in rows_a:
+        tally = Counter((l, ka, kb) for k, ka in row for l, kb in rows_b[k])
+        acc: dict[int, dict] = {}
+        for (l, ka, kb), count in tally.items():
+            terms = products.get((ka, kb))
+            if terms is None:
+                terms = products[ka, kb] = (values_a[ka] * values_b[kb]).terms
+            out = acc.setdefault(l, {})
+            for e, c in terms.items():
+                out[e] = out.get(e, 0) + count * c
+        # an entry that cancels, as in S_n(x) S_n(-x), is dropped by PolyMatrix
+        rows.append({l: Poly._raw({e: c for e, c in t.items() if c}) for l, t in acc.items()})
     return PolyMatrix(a.order, rows)
 
 
 def matrices_equal(a, b) -> bool:
-    """Exact entry-by-entry equality, monomial entries expanded first."""
-    a = _promote(a)
-    b = _promote(b)
-    return a == b
+    """Exact entry-by-entry equality.
+
+    Two MonomialMatrix objects with the same order, argument and stored
+    exponents are equal without expansion.  Anything else is expanded, since
+    different exponents can still give equal entries (arguments 0, 1, -1).
+    """
+    if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix) and (
+        (a.order, a.argument, a.rows) == (b.order, b.argument, b.rows)
+    ):
+        return True
+    return _promote(a) == _promote(b)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: output goldens, exit-code contract, determinism."""
 
+import os
 import subprocess
 import sys
 
@@ -254,6 +255,17 @@ class TestContract:
         assert result.returncode == 0
         assert result.stdout == ""
         assert target.read_text().startswith("P1\n8 8\n")
+
+    def test_output_file_untouched_on_error(self, tmp_path):
+        # refused before any output, and refused after three suites printed
+        target = tmp_path / "f"
+        for argv in (["matrix", "13"], ["verify", "all", "--p", "4", "--max-m", "4"]):
+            target.write_bytes(b"keep\n")
+            result = run_cli(*argv, "--output", str(target))
+            assert result.returncode == 2
+            assert result.stderr.startswith("error: ")
+            assert target.read_bytes() == b"keep\n"
+            assert os.listdir(tmp_path) == ["f"]
 
     def test_matrix_grid_matches_triangle_lower_part(self):
         # mod-2 correspondence surfaces at the CLI level as well

@@ -1,5 +1,7 @@
 """Matrix family: two constructions, Kronecker products, exact products."""
 
+import random
+
 import pytest
 
 from sierpinski.algebra import ONE, X, Y, ZERO, Poly
@@ -97,7 +99,23 @@ class TestConstructionEquivalence:
                 assert matrices_equal(build_recursive(n, arg), build_closed_form(n, arg))
 
     def test_different_arguments_differ(self):
-        assert not matrices_equal(build_recursive(2, X), build_recursive(2, Y))
+        for n in range(1, 7):
+            assert not matrices_equal(build_recursive(n, X), build_recursive(n, Y))
+
+    def test_different_exponents_can_be_equal(self):
+        # 0^1 == 0^2, 1^1 == 1^2 and (-1)^1 == (-1)^3, so the stored
+        # exponents differ while the matrices are equal
+        minus_one = Poly.constant(-1)
+        for arg, e1, e2, equal in (
+            (ZERO, 1, 2, True),
+            (ONE, 1, 2, True),
+            (minus_one, 1, 3, True),
+            (minus_one, 1, 2, False),
+            (X, 1, 2, False),
+        ):
+            a = MonomialMatrix(1, arg, [[(0, 0)], [(0, e1), (1, 0)]])
+            b = MonomialMatrix(1, arg, [[(0, 0)], [(0, e2), (1, 0)]])
+            assert matrices_equal(a, b) is equal
 
     def test_different_orders_differ(self):
         assert not matrices_equal(build_recursive(2, X), build_recursive(3, X))
@@ -157,11 +175,24 @@ class TestMatMul:
         assert matmul(m, identity(3)) == m
         assert matmul(identity(3), m) == m
 
-    def test_order_two_against_dense_oracle(self):
-        a = build_recursive(2, X).to_poly_matrix()
-        b = build_recursive(2, Y).to_poly_matrix()
-        prod = matmul(a, b)
-        assert prod == dense_product(a, b)
+    def test_against_dense_oracle(self):
+        for n in range(5):
+            for x, y in ((X, Y), (X, -X), (ONE, ZERO), (X + Y, X - Y)):
+                a, b = build_recursive(n, x), build_closed_form(n, y)
+                expected = dense_product(a, b)
+                assert matmul(a, b) == expected
+                assert matmul(a.to_poly_matrix(), b) == expected
+                assert matmul(a, b.to_poly_matrix()) == expected
+        # non-monomial entries: binomials, products, and repeated random polys
+        rng = random.Random(3)
+        pool = [ZERO, ONE, X - Y, 2 * X * Y + 3, -(X**2)]
+        noisy = PolyMatrix(3, [{k: rng.choice(pool) for k in range(j + 1)} for j in range(8)])
+        binomials = build_recursive(3, X + Y).to_poly_matrix()
+        product = matmul(build_recursive(3, X), build_recursive(3, X - Y))
+        pairs = ((binomials, binomials), (binomials, product), (product, noisy), (noisy, noisy))
+        for a, b in pairs:
+            assert matmul(a, b) == dense_product(a, b)
+        prod = matmul(build_recursive(2, X), build_recursive(2, Y))
         assert matrices_equal(prod, build_recursive(2, X + Y))
         assert prod.nonzero_count() == 9
 
@@ -169,6 +200,14 @@ class TestMatMul:
         for n in range(6):
             prod = matmul(build_recursive(n, X), build_recursive(n, Y))
             assert matrices_equal(prod, build_recursive(n, X + Y))
+
+    def test_group_law_catches_one_wrong_exponent(self):
+        rows = [list(row) for row in build_recursive(8, X).rows]
+        k, e = rows[200][3]
+        rows[200][3] = (k, e + 1)
+        wrong = MonomialMatrix(8, X, rows)
+        lhs = matmul(wrong, build_recursive(8, Y))
+        assert not matrices_equal(lhs, build_recursive(8, X + Y))
 
     def test_inverse(self):
         prod = matmul(build_recursive(4, X), build_recursive(4, -X))
@@ -232,6 +271,11 @@ class TestPolyMatrix:
     def test_dump_golden_s3(self):
         assert build_recursive(3, X).dump() == S3_GOLDEN
         assert build_closed_form(3, X).dump() == S3_GOLDEN
+
+    def test_dump_matches_expanded_grid(self):
+        for arg in (X, ONE, ZERO, X + Y, -X):
+            m = build_recursive(3, arg)
+            assert m.dump() == m.to_poly_matrix().dump()
 
     def test_dump_one_by_one(self):
         assert build_recursive(0, X).dump() == "1"
