@@ -19,6 +19,7 @@ from .errors import SizeLimitError
 
 USAGE_ERROR = 2
 COUNTEREXAMPLE = 1
+MAX_ADDITIVITY_M = 4096  # ~8.4 M (k, m) pairs, as many as acceptance criterion 6 checks
 
 _ARGS = {"x": X, "one": ONE, "zero": ZERO}
 
@@ -117,8 +118,7 @@ def cmd_matrix(args, out) -> int:
 
 def cmd_expand(args, out) -> int:
     expansion = identities.digital_expansion(args.m)
-    for k, a, b in expansion.terms:
-        print(f"{k} {a} {b}", file=out)
+    out.writelines(f"{k} {a} {b}\n" for k, a, b in expansion.terms)
     print(expansion.collect().pretty(), file=out)
     return 0
 
@@ -179,6 +179,8 @@ def cmd_verify(args, out) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    if "additivity" in suites and args.max_m > MAX_ADDITIVITY_M:
+        raise SizeLimitError(f"--max-m {args.max_m} exceeds the additivity cap {MAX_ADDITIVITY_M}")
     ok = True
     for i, suite in enumerate(suites):
         if i:
@@ -192,33 +194,39 @@ def _triangle_cells(source: str, rows_or_order: int, modulus: int):
         matrix = matrices.build_closed_form(rows_or_order, ONE)
         rows = []
         for j in range(matrix.size):
-            stored = {k for k, _ in matrix.rows[j]}
-            rows.append(tuple(1 if k in stored else 0 for k in range(j + 1)))
+            row = bytearray(j + 1)
+            for k, _ in matrix.rows[j]:
+                row[k] = 1
+            rows.append(row)
         return tuple(rows)
     return identities.pascal_mod(rows_or_order, modulus).cells
+
+
+_DIGITS = bytes((48 + c) & 0xFF for c in range(256))  # residue c -> ASCII digit c
+_BITS = b"0" + b"1" * 255  # nonzero -> 1
+_BLANK_OR_1 = b" " + b"1" * 255
 
 
 def render_ascii(cells, modulus: int) -> str:
     # one character per cell; at p=2 a blank stands for residue 0
     if modulus > 7:
         raise ValueError("ascii format needs single-character residues (mod <= 7)")
-    lines = []
-    for row in cells:
-        if modulus == 2:
-            lines.append("".join("1" if c else " " for c in row).rstrip())
-        else:
-            lines.append("".join(str(c) for c in row))
-    return "\n".join(lines)
+    table = _BLANK_OR_1 if modulus == 2 else _DIGITS
+    return b"\n".join(bytes(row).translate(table).rstrip() for row in cells).decode("ascii")
 
 
 def render_pbm(cells) -> str:
     # P1 text raster, square: triangle rows padded right with zeros
     width = len(cells)
-    lines = ["P1", f"{width} {width}"]
+    blank = b" " * (2 * width - 1)
+    lines = [b"P1", f"{width} {width}".encode()]
     for row in cells:
-        padded = list(row) + [0] * (width - len(row))
-        lines.append(" ".join("1" if c else "0" for c in padded))
-    return "\n".join(lines)
+        if not isinstance(row, (bytes, bytearray)):
+            row = bytes(map(bool, row))  # p >= 128 rows are ints that need not fit in a byte
+        line = bytearray(blank)
+        line[::2] = row.translate(_BITS).ljust(width, b"0")
+        lines.append(line)
+    return b"\n".join(lines).decode("ascii")
 
 
 def cmd_triangle(args, out) -> int:

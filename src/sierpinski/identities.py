@@ -62,17 +62,20 @@ class TermList:
 
 @dataclass(frozen=True)
 class TriangleMod:
-    """The first `rows` rows of Pascal's triangle reduced mod a prime."""
+    """The first `rows` rows of Pascal's triangle reduced mod a prime.
+
+    Row n of `cells` is bytes (one byte a residue) for p < 128, else a tuple.
+    """
 
     modulus: int
-    cells: tuple[tuple[int, ...], ...]
+    cells: tuple[bytes | tuple[int, ...], ...]
 
     @property
     def rows(self) -> int:
         return len(self.cells)
 
     def row(self, n: int) -> tuple[int, ...]:
-        return self.cells[n]
+        return tuple(self.cells[n])
 
 
 @dataclass(frozen=True)
@@ -218,13 +221,17 @@ def verify_additivity_form(m: int) -> bool:
     """Check {k: (k, m-k) carry-free} == {k: s(k)+s(m-k) == s(m)} over [0, m].
 
     Deliberately a full scan of [0, m], not a submask walk: this is the
-    independent oracle for the summand enumerator.
+    independent oracle for the summand enumerator.  Its sides share
+    nothing: s(k) comes from the table s(2q + r) = s(q) + r, blind to
+    carries, and carry_free runs the long addition, blind to digit sums.
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    sigma = sum_of_digits(m)
+    s = [0] * (m + 1)
+    for k in range(1, m + 1):
+        s[k] = s[k >> 1] + (k & 1)
     for k in range(m + 1):
-        if carry_free(k, m - k) != (sum_of_digits(k) + sum_of_digits(m - k) == sigma):
+        if carry_free(k, m - k) != (s[k] + s[m - k] == s[m]):
             return False
     return True
 
@@ -277,18 +284,35 @@ def verify_kummer(n_max: int, p: int, max_rows: int = 1024) -> Report:
 
 
 def pascal_mod(rows: int, p: int) -> TriangleMod:
-    """First `rows` rows of Pascal's triangle mod p, by the mod-p recurrence."""
+    """First `rows` rows of Pascal's triangle mod p, by the mod-p recurrence.
+
+    A row is one integer, `width` bytes a cell, cell k lowest.  Adding its
+    shift by one field forms every C(n, k-1) + C(n, k) <= 2p - 2 at once;
+    `bias` (2^(field-1) - p a field) sets a field's top bit exactly where
+    that sum reached p, and p is subtracted there.  This additive rule uses
+    neither Lucas' theorem nor the matrix family, so
+    verify_triangle_matrix_correspondence stays an independent check.
+    """
     if rows < 1:
         raise ValueError(f"rows must be positive, got {rows}")
     if rows > 1 << 14:
         raise SizeLimitError(f"rows = {rows} exceeds the limit {1 << 14}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    width = (p.bit_length() + 8) // 8  # one byte for every p < 128
+    field = 8 * width
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * (rows + 1), "little")
+    bias = ones * ((1 << (field - 1)) - p)
     cells = []
-    row = (1,)
+    row = 1
     for n in range(rows):
-        cells.append(row)
-        row = (1,) + tuple((row[i] + row[i + 1]) % p for i in range(n)) + (1,)
+        data = row.to_bytes(width * (n + 1), "little")
+        if width > 1:
+            cut = range(0, len(data), width)
+            data = tuple(int.from_bytes(data[i : i + width], "little") for i in cut)
+        cells.append(data)
+        row += row << field
+        row -= p * (((row + bias) >> (field - 1)) & ones)
     return TriangleMod(modulus=p, cells=tuple(cells))
 
 

@@ -1,10 +1,22 @@
-"""End-to-end CLI tests: output goldens, exit-code contract, determinism."""
+"""End-to-end CLI tests: output goldens, exit-code contract, determinism.
 
+Commands run in this process through ``cli.main(argv)``; TestContract keeps
+subprocess smoke tests of the ``python -m sierpinski`` entry point.
+"""
+
+import contextlib
+import csv
+import io
+import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 
 import pytest
+
+from sierpinski import cli, matrices
+from sierpinski.algebra import ONE
 
 EQ1_RIGHT_TRIANGLE = "\n".join(
     [
@@ -20,12 +32,69 @@ EQ1_RIGHT_TRIANGLE = "\n".join(
 )
 
 
+Result = namedtuple("Result", "returncode stdout stderr")
+
+
 def run_cli(*args):
+    """Run one command in process, with its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(args))
+        except SystemExit as exc:  # argparse exits on a usage error
+            rc = exc.code
+    return Result(rc, out.getvalue(), err.getvalue())
+
+
+def run_cli_process(*args):
     return subprocess.run(
         [sys.executable, "-m", "sierpinski", *args],
         capture_output=True,
         text=True,
     )
+
+
+# Per-cell reference versions of the triangle sources and renderers: one
+# tuple of ints per row, one character per cell.
+
+
+def reference_pascal_cells(rows, p):
+    cells = []
+    row = (1,)
+    for n in range(rows):
+        cells.append(row)
+        row = (1,) + tuple((row[i] + row[i + 1]) % p for i in range(n)) + (1,)
+    return tuple(cells)
+
+
+def reference_matrix_ones_cells(order):
+    matrix = matrices.build_closed_form(order, ONE)
+    rows = []
+    for j in range(matrix.size):
+        stored = {k for k, _ in matrix.rows[j]}
+        rows.append(tuple(1 if k in stored else 0 for k in range(j + 1)))
+    return tuple(rows)
+
+
+def reference_render(cells, modulus, fmt):
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(cells)
+        return buffer.getvalue()
+    if fmt == "ascii":
+        lines = []
+        for row in cells:
+            if modulus == 2:
+                lines.append("".join("1" if c else " " for c in row).rstrip())
+            else:
+                lines.append("".join(str(c) for c in row))
+    else:
+        width = len(cells)
+        lines = ["P1", f"{width} {width}"]
+        for row in cells:
+            padded = list(row) + [0] * (width - len(row))
+            lines.append(" ".join("1" if c else "0" for c in padded))
+    return "\n".join(lines) + "\n"
 
 
 class TestDigits:
@@ -162,6 +231,23 @@ class TestVerify:
     def test_composite_p(self):
         assert run_cli("verify", "kummer", "--p", "4").returncode == 2
 
+    def test_additivity_max_m_refused_before_any_suite(self, monkeypatch):
+        from sierpinski import identities
+
+        def never(*_):
+            raise AssertionError("a suite ran before the --max-m guard")
+
+        monkeypatch.setattr(identities, "verify_additivity_form", never)
+        monkeypatch.setattr(identities, "verify_digital_binomial", never)
+        for suite, max_m in (("all", "1000000000"), ("additivity", "4097")):
+            result = run_cli("verify", suite, "--max-m", max_m)
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert result.stderr.startswith("error: ")
+
+    def test_max_m_guard_spares_other_suites(self):
+        assert run_cli("verify", "kummer", "--max-m", "1000000000").returncode == 0
+
 
 class TestTriangle:
     def test_ascii_eight_rows(self):
@@ -204,6 +290,34 @@ class TestTriangle:
     def test_composite_modulus(self):
         assert run_cli("triangle", "--rows", "4", "--mod", "6").returncode == 2
 
+    @pytest.mark.parametrize("fmt", ["ascii", "pbm", "csv"])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_pascal_matches_reference_renderers(self, p, fmt):
+        for rows in (1, 2, 9, 70):
+            want = reference_render(reference_pascal_cells(rows, p), p, fmt)
+            result = run_cli("triangle", "--rows", str(rows), "--mod", str(p), "--format", fmt)
+            assert result.stdout == want
+
+    @pytest.mark.parametrize("p", [131, 257])
+    def test_wide_modulus_pbm_matches_reference(self, p):
+        # two-byte cells; row 131 holds the first zero residues mod 131
+        want = reference_render(reference_pascal_cells(140, p), p, "pbm")
+        result = run_cli("triangle", "--rows", "140", "--mod", str(p), "--format", "pbm")
+        assert result.stdout == want
+
+    @pytest.mark.parametrize("fmt", ["ascii", "pbm", "csv"])
+    def test_matrix_ones_matches_reference_renderers(self, fmt):
+        for order in range(8):
+            want = reference_render(reference_matrix_ones_cells(order), 2, fmt)
+            assert run_cli("triangle", "--order", str(order), "--format", fmt).stdout == want
+
+    def test_csv_mod_131_against_binomials(self):
+        result = run_cli("triangle", "--rows", "90", "--mod", "131", "--format", "csv")
+        assert result.returncode == 0
+        assert result.stdout.splitlines() == [
+            ",".join(str(math.comb(n, k) % 131) for k in range(n + 1)) for n in range(90)
+        ]
+
 
 class TestCounterexampleExit:
     # every identity actually holds, so exit code 1 is reachable only by
@@ -242,8 +356,8 @@ class TestContract:
         assert result.returncode == 0, result.stderr
 
     def test_deterministic_output(self):
-        first = run_cli("matrix", "5", "--arg", "x")
-        second = run_cli("matrix", "5", "--arg", "x")
+        first = run_cli_process("matrix", "5", "--arg", "x")
+        second = run_cli_process("matrix", "5", "--arg", "x")
         assert first.stdout == second.stdout
         assert first.stdout.encode() == second.stdout.encode()
 

@@ -286,6 +286,24 @@ class TestPascalMod:
             for n in range(64):
                 assert tri.row(n) == tuple(binomial(n, k) % p for k in range(n + 1))
 
+    def test_against_math_comb_mod_2_sampled(self):
+        # whole rows against Lucas (C(n, k) is odd iff k is a submask of n),
+        # sampled cells against math.comb, whose ~4000-bit binomials are slow
+        tri = pascal_mod(4096, 2)
+        rng = random.Random(5)
+        for n in [0, 1, 255, 256, 4094, 4095] + rng.sample(range(4096), 40):
+            row = tri.row(n)
+            assert row == tuple(int(k & ~n == 0) for k in range(n + 1))
+            for k in rng.choices(range(n + 1), k=32):
+                assert row[k] == math.comb(n, k) % 2
+
+    def test_against_math_comb_across_cell_widths(self):
+        # p = 127 fills a one-byte cell; 131 and 257 take two bytes
+        for p in (3, 5, 7, 127, 131, 257):
+            tri = pascal_mod(200, p)
+            for n in range(200):
+                assert tri.row(n) == tuple(math.comb(n, k) % p for k in range(n + 1)), (p, n)
+
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
             pascal_mod(8, 9)
