@@ -32,7 +32,9 @@ from .identities import (
     verify_additivity_form,
     verify_classical_reduction,
     verify_digital_binomial,
+    verify_group_law,
     verify_kummer,
+    verify_range,
     verify_triangle_matrix_correspondence,
 )
 from .matrices import (
@@ -60,8 +62,8 @@ __all__ = [
     "MAX_BUILD_ORDER", "MAX_MUL_ORDER",
     "TermList", "TriangleMod", "Report", "EXPONENT_CAP",
     "digital_expansion", "exponent_pair_counts",
-    "verify_digital_binomial", "verify_additivity_form",
-    "verify_classical_reduction", "verify_kummer", "pascal_mod",
+    "verify_digital_binomial", "verify_range", "verify_additivity_form",
+    "verify_classical_reduction", "verify_group_law", "verify_kummer", "pascal_mod",
     "verify_triangle_matrix_correspondence",
     "__version__",
 ]

@@ -7,6 +7,7 @@ ingredients and compares exactly:
   carry-free decompositions k + (m-k) = m;
 * its restatement through additivity of the digit sum;
 * its collapse to the classical binomial theorem at m = 2^n - 1;
+* the group law S_n(x) S_n(y) = S_n(x + y) of the matrix family;
 * Kummer's carry-count formula for prime-power divisibility of binomials;
 * the mod-2 Pascal triangle as the 0/1 pattern of the matrix family.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import ONE, Poly, X, Y, binomial, p_adic_valuation
 from .digits import carry_count, carry_free, carry_free_summands, is_prime, sum_of_digits
 from .errors import SizeLimitError
-from .matrices import build_closed_form
+from .matrices import build_closed_form, build_recursive, identity, matmul, matrices_equal
 
 __all__ = [
     "TermList",
@@ -29,14 +30,17 @@ __all__ = [
     "digital_expansion",
     "exponent_pair_counts",
     "verify_digital_binomial",
+    "verify_range",
     "verify_additivity_form",
     "verify_classical_reduction",
+    "verify_group_law",
     "verify_kummer",
     "pascal_mod",
     "verify_triangle_matrix_correspondence",
 ]
 
 EXPONENT_CAP = 24  # 2^24 summands is the default ceiling for one expansion
+MAX_KUMMER_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -217,7 +221,23 @@ def verify_digital_binomial(m: int, exponent_cap: int = EXPONENT_CAP) -> Report:
     )
 
 
-def verify_additivity_form(m: int) -> bool:
+def verify_range(verify, stop: int) -> Report:
+    """Run verify(m) for every m < stop; the first failing Report, else one for m<stop.
+
+    The passing Report's cases is the sum of the cases of every m.
+    """
+    if stop < 1:
+        raise ValueError(f"stop must be positive, got {stop}")
+    cases = 0
+    for m in range(stop):
+        report = verify(m)
+        if not report:
+            return report
+        cases += report.cases
+    return Report(report.identity, f"m<{stop}", True, cases=cases)
+
+
+def verify_additivity_form(m: int) -> Report:
     """Check {k: (k, m-k) carry-free} == {k: s(k)+s(m-k) == s(m)} over [0, m].
 
     Deliberately a full scan of [0, m], not a submask walk: this is the
@@ -232,8 +252,8 @@ def verify_additivity_form(m: int) -> bool:
         s[k] = s[k >> 1] + (k & 1)
     for k in range(m + 1):
         if carry_free(k, m - k) != (s[k] + s[m - k] == s[m]):
-            return False
-    return True
+            return Report("digit-sum-additivity", f"m={m}", False, cases=k + 1)
+    return Report("digit-sum-additivity", f"m={m}", True, cases=m + 1)
 
 
 def verify_classical_reduction(n: int) -> bool:
@@ -252,7 +272,22 @@ def verify_classical_reduction(n: int) -> bool:
     return all(counts[(k, n - k)] == binomial(n, k) for k in range(n + 1))
 
 
-def verify_kummer(n_max: int, p: int, max_rows: int = 1024) -> Report:
+def verify_group_law(order: int) -> Report:
+    """Check S_n(X) S_n(Y) == S_n(X+Y) and S_n(X) S_n(-X) == I with exact products.
+
+    Both products are the schoolbook matmul, which assumes nothing about the
+    group law; the sides they are compared with come from
+    build_recursive(n, X+Y) and the identity matrix.
+    """
+    lhs = matmul(build_recursive(order, X), build_recursive(order, Y))
+    same = matrices_equal(lhs, build_recursive(order, X + Y))
+    inverse = matrices_equal(
+        matmul(build_recursive(order, X), build_recursive(order, -X)), identity(order)
+    )
+    return Report("group-law", f"order={order}", same and inverse)
+
+
+def verify_kummer(n_max: int, p: int) -> Report:
     """Check v_p(binomial(n, k)) == carries of k + (n-k) for all n < n_max.
 
     The binomials are grown by the additive Pascal recurrence in exact
@@ -263,8 +298,8 @@ def verify_kummer(n_max: int, p: int, max_rows: int = 1024) -> Report:
         raise ValueError(f"p must be prime, got {p}")
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    if n_max > max_rows:
-        raise SizeLimitError(f"n_max = {n_max} exceeds the practical limit {max_rows}")
+    if n_max > MAX_KUMMER_ROWS:
+        raise SizeLimitError(f"n_max = {n_max} exceeds the practical limit {MAX_KUMMER_ROWS}")
     row = [1]
     for n in range(n_max):
         for k, coeff in enumerate(row):
@@ -316,19 +351,21 @@ def pascal_mod(rows: int, p: int) -> TriangleMod:
     return TriangleMod(modulus=p, cells=tuple(cells))
 
 
-def verify_triangle_matrix_correspondence(n: int) -> bool:
-    """The 0/1 pattern of S_n(1) must equal Pascal's triangle mod 2."""
+def verify_triangle_matrix_correspondence(n: int) -> Report:
+    """The 0/1 pattern of S_n(1) must equal Pascal's triangle mod 2.
+
+    cases counts the cells of the lower triangle compared.
+    """
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")
     matrix = build_closed_form(n, ONE)
     triangle = pascal_mod(matrix.size, 2)
+    name, parameter = "triangle-matrix-correspondence", f"order={n}"
     for j in range(matrix.size):
         stored = dict(matrix.rows[j])
         residues = triangle.row(j)
         for k in range(j + 1):
             present = k in stored
-            if present != (residues[k] == 1):
-                return False
-            if present and matrix.entry(j, k) != ONE:
-                return False
-    return True
+            if present != (residues[k] == 1) or (present and matrix.entry(j, k) != ONE):
+                return Report(name, parameter, False, cases=j * (j + 1) // 2 + k + 1)
+    return Report(name, parameter, True, cases=matrix.size * (matrix.size + 1) // 2)

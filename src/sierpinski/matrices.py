@@ -40,12 +40,12 @@ MAX_BUILD_ORDER = 12  # 3^12 ~ 5.3e5 stored entries
 MAX_MUL_ORDER = 10
 
 
-def _check_build_order(n: int, max_order: int) -> None:
+def _check_build_order(n: int) -> None:
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")
-    if n > max_order:
+    if n > MAX_BUILD_ORDER:
         raise SizeLimitError(
-            f"order {n} exceeds the construction limit {max_order}: "
+            f"order {n} exceeds the construction limit {MAX_BUILD_ORDER}: "
             f"the matrix would hold 3^{n} = {3**n} entries"
         )
 
@@ -159,14 +159,14 @@ class PolyMatrix:
         return f"PolyMatrix(order={self.order}, nonzeros={self.nonzero_count()})"
 
 
-def build_recursive(n: int, argument: Poly, max_order: int = MAX_BUILD_ORDER) -> MonomialMatrix:
+def build_recursive(n: int, argument: Poly) -> MonomialMatrix:
     """S_n(argument) by unfolding the Kronecker recurrence S_1 (x) S_{n-1}.
 
     Kronecker with S_1 = [[1, 0], [x, 1]] maps the current matrix M to
     [[M, 0], [x*M, M]]; in exponent form the x*M block raises every stored
     exponent by one and the second diagonal block copies M shifted.
     """
-    _check_build_order(n, max_order)
+    _check_build_order(n)
     rows: list[list[tuple[int, int]]] = [[(0, 0)]]
     size = 1
     for _ in range(n):
@@ -177,13 +177,13 @@ def build_recursive(n: int, argument: Poly, max_order: int = MAX_BUILD_ORDER) ->
     return MonomialMatrix(n, argument, rows)
 
 
-def build_closed_form(n: int, argument: Poly, max_order: int = MAX_BUILD_ORDER) -> MonomialMatrix:
+def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
     """S_n(argument) directly from the entry formula.
 
     Row j holds arg**s(j-k) at each carry-free summand k of j (ascending
     submask enumeration) and zero elsewhere; no recursion involved.
     """
-    _check_build_order(n, max_order)
+    _check_build_order(n)
     rows = []
     for j in range(1 << n):
         row = []
@@ -205,14 +205,14 @@ def _promote(m: MonomialMatrix | PolyMatrix) -> PolyMatrix:
     return m.to_poly_matrix() if isinstance(m, MonomialMatrix) else m
 
 
-def kron(a, b, max_order: int = MAX_BUILD_ORDER) -> PolyMatrix:
+def kron(a, b) -> PolyMatrix:
     """Kronecker product: block (i, j) of the result is a[i][j] * b."""
     a = _promote(a)
     b = _promote(b)
     order = a.order + b.order
-    if order > max_order:
+    if order > MAX_BUILD_ORDER:
         raise SizeLimitError(
-            f"combined order {order} exceeds the construction limit {max_order}: "
+            f"combined order {order} exceeds the construction limit {MAX_BUILD_ORDER}: "
             f"the product would hold 3^{order} = {3**order} entries"
         )
     bs = b.size
@@ -238,7 +238,7 @@ def _keyed(m: MonomialMatrix | PolyMatrix):
     return rows, list(keys)
 
 
-def matmul(a, b, max_order: int = MAX_MUL_ORDER) -> PolyMatrix:
+def matmul(a, b) -> PolyMatrix:
     """Exact product of two equal-order lower-triangular matrices.
 
     Entry (j, l) is the definitional sum over k of a[j][k] * b[k][l].  Its
@@ -252,9 +252,9 @@ def matmul(a, b, max_order: int = MAX_MUL_ORDER) -> PolyMatrix:
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    if a.order > max_order:
+    if a.order > MAX_MUL_ORDER:
         raise SizeLimitError(
-            f"order {a.order} exceeds the multiplication limit {max_order}: "
+            f"order {a.order} exceeds the multiplication limit {MAX_MUL_ORDER}: "
             f"each factor holds 3^{a.order} = {3**a.order} entries"
         )
     rows_a, values_a = _keyed(a)

@@ -160,6 +160,9 @@ class TestMatrix:
         result = run_cli("matrix", "5", "--check")
         assert result.returncode == 0
         assert "status: pass" in result.stdout
+        assert result.stdout == (
+            "identity: construction-equivalence\nparameter: order=5 arg=x\nstatus: pass\n"
+        )
 
     def test_size_limit_exit_code(self):
         result = run_cli("matrix", "50")
@@ -167,7 +170,11 @@ class TestMatrix:
         assert "3^50" in result.stderr
 
     def test_max_order_override(self):
-        assert run_cli("matrix", "13", "--max-order", "13").returncode == 0
+        # the construction limit is fixed; --max-order is not an option
+        result = run_cli("matrix", "13", "--max-order", "13")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
 
 
 class TestExpand:
@@ -224,6 +231,17 @@ class TestVerify:
         result = run_cli("verify", "all", "--max-m", "64", "--max-n", "32")
         assert result.returncode == 0
         assert result.stdout.count("status: pass") == 5
+        assert result.stdout == (
+            "identity: digital-binomial\nparameter: m<64\nstatus: pass\n"
+            "\n"
+            "identity: digit-sum-additivity\nparameter: m<64\nstatus: pass\n"
+            "\n"
+            "identity: group-law\nparameter: order=4\nstatus: pass\n"
+            "\n"
+            "identity: kummer\nparameter: n_max=32 p=2\nstatus: pass\n"
+            "\n"
+            "identity: triangle-matrix-correspondence\nparameter: order=8\nstatus: pass\n"
+        )
 
     def test_unknown_suite(self):
         assert run_cli("verify", "nonsense").returncode == 2
@@ -239,7 +257,7 @@ class TestVerify:
 
         monkeypatch.setattr(identities, "verify_additivity_form", never)
         monkeypatch.setattr(identities, "verify_digital_binomial", never)
-        for suite, max_m in (("all", "1000000000"), ("additivity", "4097")):
+        for suite, max_m in (("all", "1000000000"), ("additivity", "4097"), ("binomial", "4097")):
             result = run_cli("verify", suite, "--max-m", max_m)
             assert result.returncode == 2
             assert result.stdout == ""
@@ -322,23 +340,38 @@ class TestTriangle:
 class TestCounterexampleExit:
     # every identity actually holds, so exit code 1 is reachable only by
     # stubbing a verifier; this pins the dispatch wiring
-    def test_verify_reports_failure(self, monkeypatch, capsys):
-        from sierpinski import cli, identities
+    SUITES = {  # suite -> (verifier it runs, identity, parameter of a report)
+        "binomial": ("verify_digital_binomial", "digital-binomial", "m={}"),
+        "additivity": ("verify_additivity_form", "digit-sum-additivity", "m={}"),
+        "group": ("verify_group_law", "group-law", "order={}"),
+        "kummer": ("verify_kummer", "kummer", "n_max={} p={}"),
+        "correspondence": (
+            "verify_triangle_matrix_correspondence", "triangle-matrix-correspondence", "order={}"
+        ),
+    }
 
-        def failing(n_max, p, max_rows=1024):
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_verify_reports_failure(self, monkeypatch, suite):
+        from sierpinski import identities
+
+        verifier, identity, parameter = self.SUITES[suite]
+        ranged = parameter == "m={}"
+
+        def failing(*args):
+            # a range suite passes m = 0, 1, 2 and fails first at m = 3
+            passed = ranged and args[0] < 3
             return identities.Report(
-                identity="kummer",
-                parameter=f"n_max={n_max} p={p}",
-                passed=False,
-                first_mismatch="n=1 k=1 binomial=1",
+                identity, parameter.format(*args), passed, first_mismatch="n=1 k=1 binomial=1"
             )
 
-        monkeypatch.setattr(identities, "verify_kummer", failing)
-        rc = cli.main(["verify", "kummer"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "status: fail" in out
-        assert "first_mismatch: n=1 k=1" in out
+        monkeypatch.setattr(identities, verifier, failing)
+        result = run_cli("verify", suite)
+        assert result.returncode == 1
+        assert "status: fail" in result.stdout
+        assert f"identity: {identity}\n" in result.stdout
+        assert "first_mismatch: n=1 k=1" in result.stdout
+        if ranged:
+            assert "parameter: m=3\n" in result.stdout
 
     def test_matrix_check_reports_failure(self, monkeypatch, capsys):
         from sierpinski import cli, matrices

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sierpinski import identities
 from sierpinski.algebra import X, Y, binomial
 from sierpinski.digits import carry_free, sum_of_digits
 from sierpinski.errors import SizeLimitError
@@ -18,9 +19,12 @@ from sierpinski.identities import (
     verify_additivity_form,
     verify_classical_reduction,
     verify_digital_binomial,
+    verify_group_law,
     verify_kummer,
+    verify_range,
     verify_triangle_matrix_correspondence,
 )
+from sierpinski.matrices import build_closed_form, matmul
 
 
 def brute_force_expansion(m):
@@ -180,9 +184,48 @@ class TestVerifyDigitalBinomial:
         assert "first_mismatch:" in report.to_text()
 
 
+class TestVerifyRange:
+    def test_pass_sums_cases(self):
+        report = verify_range(verify_digital_binomial, 10)
+        assert report.to_text() == "identity: digital-binomial\nparameter: m<10\nstatus: pass"
+        assert report.cases == sum(m + 1 for m in range(10))
+        assert verify_range(verify_additivity_form, 64).cases == 64 * 65 // 2
+
+    def test_returns_first_failure(self):
+        seen = []
+
+        def verify(m):
+            seen.append(m)
+            return Report("stub", f"m={m}", m < 4, cases=1)
+
+        report = verify_range(verify, 10)
+        assert not report
+        assert report.parameter == "m=4"
+        assert seen == [0, 1, 2, 3, 4]
+
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            verify_range(verify_additivity_form, 0)
+
+
 class TestVerifyAdditivityForm:
     def test_m_five(self):
         assert verify_additivity_form(5)
+
+    def test_cases_count_every_pair(self):
+        for m in (0, 1, 5, 100):
+            report = verify_additivity_form(m)
+            assert report.passed and report.cases == m + 1
+        assert verify_additivity_form(5).to_text() == (
+            "identity: digit-sum-additivity\nparameter: m=5\nstatus: pass"
+        )
+
+    def test_failure_stops_at_first_pair(self, monkeypatch):
+        # a carry test wrong at k = 2 only: pairs k = 0, 1, 2 were checked
+        monkeypatch.setattr(identities, "carry_free", lambda a, b: carry_free(a, b) != (a == 2))
+        report = verify_additivity_form(5)
+        assert not report
+        assert report.cases == 3
 
     def test_m_zero(self):
         assert verify_additivity_form(0)
@@ -256,7 +299,25 @@ class TestVerifyKummer:
     def test_practical_limit(self):
         with pytest.raises(SizeLimitError):
             verify_kummer(2048, 2)
-        verify_kummer(16, 2, max_rows=16)
+
+
+class TestVerifyGroupLaw:
+    def test_passes_small_orders(self):
+        for order in range(5):
+            report = verify_group_law(order)
+            assert report.passed, report.to_text()
+        assert verify_group_law(2).to_text() == (
+            "identity: group-law\nparameter: order=2\nstatus: pass"
+        )
+
+    def test_wrong_product_fails(self, monkeypatch):
+        # S_n(X) S_n(X) = S_n(2X) is not S_n(X+Y)
+        monkeypatch.setattr(identities, "matmul", lambda a, b: matmul(a, a))
+        assert not verify_group_law(3)
+
+    def test_multiplication_limit(self):
+        with pytest.raises(SizeLimitError, match="multiplication limit"):
+            verify_group_law(11)
 
 
 class TestPascalMod:
@@ -322,6 +383,18 @@ class TestTriangleMatrixCorrespondence:
 
     def test_order_six(self):
         assert verify_triangle_matrix_correspondence(6)
+
+    def test_cases_count_cells(self):
+        for n in (0, 3, 6):
+            size = 1 << n
+            assert verify_triangle_matrix_correspondence(n).cases == size * (size + 1) // 2
+
+    def test_failure_stops_at_first_cell(self, monkeypatch):
+        # with S_n(X) in place of S_n(1), cell (1, 0) holds X, the second cell compared
+        monkeypatch.setattr(identities, "build_closed_form", lambda n, _: build_closed_form(n, X))
+        report = verify_triangle_matrix_correspondence(3)
+        assert not report
+        assert report.cases == 2
 
 
 class TestNumericCrossCheck:

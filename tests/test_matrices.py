@@ -67,7 +67,6 @@ class TestBuildRecursive:
     def test_order_limit(self):
         with pytest.raises(SizeLimitError, match="3\\^13"):
             build_recursive(13, X)
-        build_recursive(13, X, max_order=13)  # configurable
 
 
 class TestBuildClosedForm:

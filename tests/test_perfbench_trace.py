@@ -1,0 +1,41 @@
+"""The benchmark's tracer must still find every function it wraps.
+
+``perfbench/tracing.py`` rebinds the package functions named in its SPANS
+and COUNTED tables; a renamed or removed function would only show up as a
+failed ``perfbench/run.py --trace 1``.  This test reads perfbench/ and
+edits nothing in it.
+"""
+
+import importlib
+from pathlib import Path
+
+from sierpinski import identities
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _resolve(module, path):
+    owner = importlib.import_module(f"sierpinski.{module}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_traced_attribute_resolves(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    targets = [(module, path) for _, module, path, *_ in tracing.SPANS + tracing.COUNTED]
+    originals = [_resolve(module, path) for module, path in targets]
+    assert all(callable(fn) for fn in originals)
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # the group law reaches build_recursive and matmul through identities
+        assert identities.verify_group_law(1)
+    finally:
+        tracer.remove()
+    # S_1 built for X, Y, X+Y, X and -X: five builds of 3^1 entries
+    assert tracer.counts["matrices.build_recursive.entries"] == 5 * 3
+    assert tracer.counts["matrices.matmul.poly_products"] > 0
+    assert [_resolve(module, path) for module, path in targets] == originals
