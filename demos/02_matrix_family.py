@@ -10,7 +10,6 @@ from sierpinski import (
     build_closed_form,
     build_recursive,
     identity,
-    kron,
     matmul,
     matrices_equal,
 )
@@ -36,11 +35,6 @@ show(build_recursive(3, X), "S_3(x) = S_1 (x) S_2:")
 for n in range(8):
     assert matrices_equal(build_recursive(n, X), build_closed_form(n, X))
 print("closed form == Kronecker recursion for n <= 7\n")
-
-# the Kronecker product is exposed directly as well
-s4 = kron(build_recursive(1, X), build_recursive(3, X))
-assert matrices_equal(s4, build_recursive(4, X))
-print("kron(S_1, S_3) == S_4\n")
 
 # the family is a one-parameter group under matrix multiplication:
 # S(x) S(y) = S(x+y), S(0) = I, S(x) S(-x) = I

@@ -11,12 +11,12 @@ The package is organized in dependency order:
 
 from .algebra import ONE, X, Y, ZERO, Poly, binomial, p_adic_valuation
 from .digits import (
+    PRIME_LIMIT,
     DigitVector,
     carry_count,
     carry_count_grid,
     carry_free,
     carry_free_summands,
-    disjoint_bits,
     is_prime,
     sum_of_digits,
 )
@@ -45,7 +45,6 @@ from .matrices import (
     build_closed_form,
     build_recursive,
     identity,
-    kron,
     matmul,
     matrices_equal,
 )
@@ -54,11 +53,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly", "X", "Y", "ONE", "ZERO", "binomial", "p_adic_valuation",
-    "DigitVector", "sum_of_digits", "carry_free", "disjoint_bits",
-    "carry_count", "carry_count_grid", "carry_free_summands", "is_prime",
+    "DigitVector", "sum_of_digits", "carry_free",
+    "carry_count", "carry_count_grid", "carry_free_summands", "is_prime", "PRIME_LIMIT",
     "SizeLimitError",
     "MonomialMatrix", "PolyMatrix", "build_recursive", "build_closed_form",
-    "identity", "kron", "matmul", "matrices_equal",
+    "identity", "matmul", "matrices_equal",
     "MAX_BUILD_ORDER", "MAX_MUL_ORDER",
     "TermList", "TriangleMod", "Report", "EXPONENT_CAP",
     "digital_expansion", "exponent_pair_counts",

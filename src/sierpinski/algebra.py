@@ -132,8 +132,6 @@ class Poly:
         """Exact value at X=x0, Y=y0."""
         return sum(c * x0**a * y0**b for (a, b), c in self._terms.items())
 
-    __call__ = eval
-
     def _ordered(self):
         # graded lexicographic on (a+b, a), leading term first
         return sorted(self._terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]), reverse=True)

@@ -2,28 +2,29 @@
 
 Everything here works on plain non-negative integers.  The definitional
 routines (`sum_of_digits`, `carry_free`, `carry_count`) walk the digits the
-slow honest way; the bitwise shortcuts (`disjoint_bits`, `int.bit_count`)
-are separate paths whose agreement with the definitional forms is pinned by
-the test suite before anything else relies on them.
+slow honest way; the bitwise shortcuts used elsewhere (`a & b == 0`,
+`int.bit_count`) are separate paths whose agreement with the definitional
+forms is pinned by the test suite before anything else relies on them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import lru_cache
 
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import SizeLimitError
 
 __all__ = [
+    "PRIME_LIMIT",
     "DigitVector",
     "sum_of_digits",
     "carry_free",
-    "disjoint_bits",
     "carry_count",
     "carry_count_grid",
     "carry_free_summands",
     "is_prime",
 ]
+
+PRIME_LIMIT = 1 << 32  # trial division up to 2^16: ~4 ms at worst
 
 
 def _check_nonnegative(name: str, value: int) -> None:
@@ -31,8 +32,11 @@ def _check_nonnegative(name: str, value: int) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+@lru_cache(maxsize=64)  # per-cell argument checks repeat the same few moduli
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; intended for small bases and moduli."""
+    """Trial-division primality test; n >= PRIME_LIMIT is refused before dividing."""
+    if n >= PRIME_LIMIT:
+        raise SizeLimitError(f"{n} exceeds the primality-test limit {PRIME_LIMIT}")
     if n < 2:
         return False
     if n % 2 == 0:
@@ -80,21 +84,14 @@ class DigitVector:
 
 def sum_of_digits(value: int, base: int = 2) -> int:
     """Sum of the base-`base` digits of `value` (population count for base 2)."""
-    _check_nonnegative("value", value)
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    total = 0
-    while value:
-        value, d = divmod(value, base)
-        total += d
-    return total
+    return DigitVector(value, base).digit_sum()
 
 
 def carry_free(a: int, b: int) -> bool:
     """True iff the binary long addition of a and b produces no carry.
 
-    This is the definitional digit-walk form.  `disjoint_bits` is the
-    equivalent single-instruction shortcut.
+    This is the definitional digit-walk form; `a & b == 0` is the equivalent
+    single-instruction shortcut, and the tests pin the two together.
     """
     _check_nonnegative("a", a)
     _check_nonnegative("b", b)
@@ -104,11 +101,6 @@ def carry_free(a: int, b: int) -> bool:
         a >>= 1
         b >>= 1
     return True
-
-
-def disjoint_bits(a: int, b: int) -> bool:
-    """Shortcut form of `carry_free`: the two words share no set bit."""
-    return a & b == 0
 
 
 def carry_count(n: int, k: int, base: int = 2) -> int:
@@ -131,7 +123,7 @@ def carry_count(n: int, k: int, base: int = 2) -> int:
     return count
 
 
-def carry_count_grid(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def carry_count_grid(n_max: int) -> tuple:
     """Binary carry counts for every pair 0 <= k <= n < n_max at once.
 
     Returns (n, k, carries) as parallel flat arrays, pairs ordered by n then

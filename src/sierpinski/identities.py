@@ -39,7 +39,8 @@ __all__ = [
     "verify_triangle_matrix_correspondence",
 ]
 
-EXPONENT_CAP = 24  # 2^24 summands is the default ceiling for one expansion
+EXPONENT_CAP = 24  # 2^24 summands is the ceiling for one expansion
+MAX_RANGE = 4096  # ~8.4 M additivity pairs below it, as many as acceptance criterion 6 checks
 MAX_KUMMER_ROWS = 1024
 
 
@@ -116,10 +117,10 @@ class Report:
         return "\n".join(lines)
 
 
-def _check_exponent_cap(m: int, sigma: int, cap: int) -> None:
-    if sigma > cap:
+def _check_exponent_cap(m: int | str, sigma: int) -> None:
+    if sigma > EXPONENT_CAP:
         raise SizeLimitError(
-            f"s({m}) = {sigma} exceeds the exponent cap {cap}: "
+            f"s({m}) = {sigma} exceeds the exponent cap {EXPONENT_CAP}: "
             f"the expansion would hold 2^{sigma} terms"
         )
 
@@ -131,7 +132,7 @@ def digital_expansion(m: int) -> TermList:
     """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
-    _check_exponent_cap(m, m.bit_count(), EXPONENT_CAP)
+    _check_exponent_cap(m, m.bit_count())
     terms = tuple((k, k.bit_count(), (m - k).bit_count()) for k in carry_free_summands(m))
     return TermList(m, terms)
 
@@ -195,12 +196,12 @@ def exponent_pair_counts(m: int) -> PairCounts:
     return counts
 
 
-def verify_digital_binomial(m: int, exponent_cap: int = EXPONENT_CAP) -> Report:
+def verify_digital_binomial(m: int) -> Report:
     """Compare (X+Y)^s(m) with the exponent_pair_counts digit walk of m, exactly."""
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
     sigma = sum_of_digits(m)
-    _check_exponent_cap(m, sigma, exponent_cap)
+    _check_exponent_cap(m, sigma)
     lhs = (X + Y) ** sigma
     counts = exponent_pair_counts(m)
     rhs = Poly(counts)
@@ -224,10 +225,13 @@ def verify_digital_binomial(m: int, exponent_cap: int = EXPONENT_CAP) -> Report:
 def verify_range(verify, stop: int) -> Report:
     """Run verify(m) for every m < stop; the first failing Report, else one for m<stop.
 
-    The passing Report's cases is the sum of the cases of every m.
+    The passing Report's cases is the sum of the cases of every m.  A stop
+    above MAX_RANGE is refused before any m runs.
     """
     if stop < 1:
         raise ValueError(f"stop must be positive, got {stop}")
+    if stop > MAX_RANGE:
+        raise SizeLimitError(f"range m<{stop} exceeds the cap m<{MAX_RANGE}")
     cases = 0
     for m in range(stop):
         report = verify(m)
@@ -264,8 +268,7 @@ def verify_classical_reduction(n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if n > EXPONENT_CAP:
-        raise SizeLimitError(f"n = {n} exceeds the exponent cap {EXPONENT_CAP}")
+    _check_exponent_cap(f"2^{n}-1", n)
     counts = exponent_pair_counts((1 << n) - 1)
     if set(counts) != {(k, n - k) for k in range(n + 1)}:
         return False
@@ -279,11 +282,9 @@ def verify_group_law(order: int) -> Report:
     group law; the sides they are compared with come from
     build_recursive(n, X+Y) and the identity matrix.
     """
-    lhs = matmul(build_recursive(order, X), build_recursive(order, Y))
-    same = matrices_equal(lhs, build_recursive(order, X + Y))
-    inverse = matrices_equal(
-        matmul(build_recursive(order, X), build_recursive(order, -X)), identity(order)
-    )
+    x = build_recursive(order, X)
+    same = matrices_equal(matmul(x, build_recursive(order, Y)), build_recursive(order, X + Y))
+    inverse = matrices_equal(matmul(x, build_recursive(order, -X)), identity(order))
     return Report("group-law", f"order={order}", same and inverse)
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "build_recursive",
     "build_closed_form",
     "identity",
-    "kron",
     "matmul",
     "matrices_equal",
 ]
@@ -145,9 +144,6 @@ class PolyMatrix:
             return NotImplemented
         return self.order == other.order and self._rows == other._rows
 
-    def __matmul__(self, other) -> "PolyMatrix":
-        return matmul(self, other)
-
     def dump(self) -> str:
         lines = []
         for j in range(self.size):
@@ -203,30 +199,6 @@ def identity(order: int) -> PolyMatrix:
 
 def _promote(m: MonomialMatrix | PolyMatrix) -> PolyMatrix:
     return m.to_poly_matrix() if isinstance(m, MonomialMatrix) else m
-
-
-def kron(a, b) -> PolyMatrix:
-    """Kronecker product: block (i, j) of the result is a[i][j] * b."""
-    a = _promote(a)
-    b = _promote(b)
-    order = a.order + b.order
-    if order > MAX_BUILD_ORDER:
-        raise SizeLimitError(
-            f"combined order {order} exceeds the construction limit {MAX_BUILD_ORDER}: "
-            f"the product would hold 3^{order} = {3**order} entries"
-        )
-    bs = b.size
-    rows: list[dict[int, Poly]] = []
-    for i in range(a.size):
-        arow = a._rows[i]
-        for r in range(bs):
-            brow = b._rows[r]
-            out = {}
-            for j, scale in arow.items():
-                for c, p in brow.items():
-                    out[j * bs + c] = scale * p
-            rows.append(out)
-    return PolyMatrix(order, rows)
 
 
 def _keyed(m: MonomialMatrix | PolyMatrix):

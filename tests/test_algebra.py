@@ -85,7 +85,7 @@ class TestPolyBasics:
     def test_eval(self):
         assert (X**2 + 2 * X * Y + Y**2).eval(1, 1) == 4
         assert ZERO.eval(12345, -999) == 0
-        assert ((X + Y) ** 5)(3, 2) == 3125
+        assert ((X + Y) ** 5).eval(3, 2) == 3125
         assert 3125 == (3 + 2) ** 5  # big-integer power oracle
 
     def test_hash_consistent_with_eq(self):

@@ -14,6 +14,8 @@ import sys
 from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sierpinski import cli, matrices
 from sierpinski.algebra import ONE
@@ -33,6 +35,8 @@ EQ1_RIGHT_TRIANGLE = "\n".join(
 
 
 Result = namedtuple("Result", "returncode stdout stderr")
+
+PAST_PRIME_LIMIT = str(2**61 - 1)  # a Mersenne prime, past is_prime's 2^32 bound
 
 
 def run_cli(*args):
@@ -266,6 +270,13 @@ class TestVerify:
     def test_max_m_guard_spares_other_suites(self):
         assert run_cli("verify", "kummer", "--max-m", "1000000000").returncode == 0
 
+    def test_kummer_p_past_prime_limit(self):
+        result = run_cli("verify", "kummer", "--max-n", "2", "--p", PAST_PRIME_LIMIT)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert run_cli("verify", "kummer", "--max-n", "8", "--p", "1000000007").returncode == 0
+
 
 class TestTriangle:
     def test_ascii_eight_rows(self):
@@ -307,6 +318,15 @@ class TestTriangle:
 
     def test_composite_modulus(self):
         assert run_cli("triangle", "--rows", "4", "--mod", "6").returncode == 2
+
+    def test_modulus_past_prime_limit(self):
+        result = run_cli("triangle", "--rows", "2", "--mod", PAST_PRIME_LIMIT)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        for mod in ("131", "257"):
+            result = run_cli("triangle", "--rows", "3", "--mod", mod, "--format", "csv")
+            assert result.stdout.splitlines() == ["1", "1,1", "1,2,1"]
 
     @pytest.mark.parametrize("fmt", ["ascii", "pbm", "csv"])
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -394,6 +414,30 @@ class TestContract:
         assert first.stdout == second.stdout
         assert first.stdout.encode() == second.stdout.encode()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "9"],  # 558 kB: the write fails inside the handler
+            ["verify", "binomial", "--max-m", "4"],  # fits the buffer: fails at the flush
+        ],
+        ids=["in-handler", "at-flush"],
+    )
+    def test_closed_stdout_exits_quietly(self, argv):
+        # stdout is a pipe whose reader is already gone, as after `| head -1`;
+        # stdout is block-buffered, as it is by default when it is a pipe
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "sierpinski", *argv], stdout=write, stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        assert result.returncode == cli.BROKEN_PIPE  # neither 0 (success) nor 1 (counterexample)
+        assert result.stderr == b""
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "triangle.pbm"
         result = run_cli(
@@ -421,3 +465,65 @@ class TestContract:
         for j, record in enumerate(tri.splitlines()):
             cells = record.split(",")
             assert grid[j].split()[: j + 1] == cells
+
+
+def _flag(flag, values):
+    return st.sampled_from(values).map(lambda v: [flag, v])
+
+
+def _opt(flag, values):
+    """Nothing, or flag followed by one of values."""
+    return st.one_of(st.just([]), _flag(flag, values))
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda lists: [token for part in lists for token in part])
+
+
+def _one(values):
+    return st.sampled_from(values).map(lambda v: [v])
+
+
+# Small in-range values plus the first value past each documented cap
+# (order 13, --max-m 4097, --rows 16385, --max-n 1025, s(m) = 25, a
+# modulus past 2^32) and a few malformed ones.  --max-m and --max-n are
+# always given, so no draw runs the 1024-wide default range.
+ARGV = st.one_of(
+    _argv(st.just(["digits"]), _one(["0", "5", "255", "-1", "x"]), _opt("--base", ["0", "1", "2", "10"])),
+    _argv(
+        st.just(["matrix"]),
+        _one(["0", "1", "3", "5", "13", "-1"]),
+        _opt("--arg", ["x", "one", "zero", "y"]),
+        _opt("--construction", ["kronecker", "closed"]),
+        _opt("--format", ["compact", "poly"]),
+        st.sampled_from([[], ["--check"]]),
+    ),
+    _argv(st.just(["expand"]), _one(["0", "5", "1000", str(2**100), str(2**25 - 1), "-3"])),
+    _argv(
+        st.just(["verify"]),
+        _one(["binomial", "additivity", "group", "kummer", "correspondence", "all", "bogus"]),
+        _flag("--max-m", ["1", "16", "4097"]),
+        _flag("--max-n", ["1", "16", "1025"]),
+        _opt("--order", ["0", "2", "4", "13"]),
+        _opt("--p", ["2", "3", "4", "1", "1000000007", PAST_PRIME_LIMIT]),
+    ),
+    _argv(
+        st.just(["triangle"]),
+        st.sampled_from(
+            [["--rows", "1"], ["--rows", "40"], ["--rows", "0"], ["--rows", "16385"],
+             ["--order", "0"], ["--order", "3"], ["--order", "13"], ["--rows", "8", "--order", "3"]]
+        ),
+        _opt("--mod", ["2", "3", "7", "11", "131", "4", PAST_PRIME_LIMIT]),
+        _opt("--format", ["ascii", "pbm", "csv"]),
+        _opt("--source", ["pascal-mod", "matrix-ones"]),
+    ),
+)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(ARGV, st.sampled_from([[], ["--bogus"], ["7"]]))
+    def test_exits_0_1_or_2(self, argv, junk):
+        # argparse's SystemExit(2) counts as 2; any other exception fails the test
+        result = run_cli(*argv, *junk)
+        assert result.returncode in (0, 1, 2), (argv + junk, result)

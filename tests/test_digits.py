@@ -5,15 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sierpinski.digits import (
+    PRIME_LIMIT,
     DigitVector,
     carry_count,
     carry_count_grid,
     carry_free,
     carry_free_summands,
-    disjoint_bits,
     is_prime,
     sum_of_digits,
 )
+from sierpinski.errors import SizeLimitError
 
 
 def digit_sum_by_division(value, base):
@@ -83,11 +84,11 @@ class TestCarryFree:
     def test_equals_and_shortcut_exhaustive_small(self):
         for a in range(1 << 9):
             for b in range(1 << 9):
-                assert carry_free(a, b) == disjoint_bits(a, b)
+                assert carry_free(a, b) == (a & b == 0)
 
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
     def test_equals_and_shortcut(self, a, b):
-        assert carry_free(a, b) == disjoint_bits(a, b)
+        assert carry_free(a, b) == (a & b == 0)
 
     @given(st.integers(0, 2**20))
     def test_additivity_characterization(self, m):
@@ -213,3 +214,11 @@ class TestIsPrime:
         primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
         for n in range(50):
             assert is_prime(n) == (n in primes)
+
+    def test_refuses_past_limit_before_dividing(self):
+        # trial division of 2^61 - 1 would take minutes; the bound answers at once
+        for n in (2**61 - 1, PRIME_LIMIT):
+            with pytest.raises(SizeLimitError, match="limit"):
+                is_prime(n)
+        assert is_prime(PRIME_LIMIT - 5)  # 4294967291, the largest prime below 2^32
+        assert not is_prime(PRIME_LIMIT - 1)

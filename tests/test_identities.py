@@ -159,7 +159,7 @@ class TestVerifyDigitalBinomial:
     def test_exponent_cap(self):
         with pytest.raises(SizeLimitError, match="cap"):
             verify_digital_binomial((1 << 25) - 1)
-        assert verify_digital_binomial((1 << 25) - 1, exponent_cap=25).passed
+        assert verify_digital_binomial((1 << 24) - 1).passed  # s(m) = EXPONENT_CAP
 
     def test_report_text_fields(self):
         text = verify_digital_binomial(3).to_text()
@@ -206,6 +206,14 @@ class TestVerifyRange:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             verify_range(verify_additivity_form, 0)
+
+    def test_cap_refuses_before_any_m(self):
+        def never(m):
+            raise AssertionError("an m ran before the range cap")
+
+        verify_range(lambda m: Report("stub", f"m={m}", True), identities.MAX_RANGE)
+        with pytest.raises(SizeLimitError, match="cap"):
+            verify_range(never, identities.MAX_RANGE + 1)
 
 
 class TestVerifyAdditivityForm:
@@ -272,6 +280,12 @@ class TestClassicalReduction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             verify_classical_reduction(0)
+
+    def test_exponent_cap(self):
+        assert verify_classical_reduction(24)
+        for n in (25, 10**12):  # refused before 2^n - 1 is formed
+            with pytest.raises(SizeLimitError, match="exponent cap"):
+                verify_classical_reduction(n)
 
 
 class TestVerifyKummer:

@@ -1,4 +1,4 @@
-"""Matrix family: two constructions, Kronecker products, exact products."""
+"""Matrix family: two constructions and exact products."""
 
 import random
 
@@ -13,7 +13,6 @@ from sierpinski.matrices import (
     build_closed_form,
     build_recursive,
     identity,
-    kron,
     matmul,
     matrices_equal,
 )
@@ -131,37 +130,6 @@ class TestConstructionEquivalence:
                 assert m.entry(j, k) == expected
 
 
-class TestKronecker:
-    def test_s1_squared_is_s2(self):
-        s1 = build_recursive(1, X)
-        assert matrices_equal(kron(s1, s1), build_recursive(2, X))
-
-    def test_identity_blocks(self):
-        m = build_recursive(2, X).to_poly_matrix()
-        block_diag = kron(identity(1), m)
-        for j in range(4):
-            for k in range(j + 1):
-                assert block_diag.entry(j, k) == m.entry(j, k)
-                assert block_diag.entry(j + 4, k + 4) == m.entry(j, k)
-                assert block_diag.entry(j + 4, k) == ZERO
-
-    def test_s1_times_s2_is_s3(self):
-        assert matrices_equal(
-            kron(build_recursive(1, X), build_recursive(2, X)), build_recursive(3, X)
-        )
-
-    def test_recursive_build_matches_kron_path(self):
-        # the exponent-level recursion and the polynomial-level product
-        # implement the same block structure
-        s1 = build_recursive(1, X)
-        for n in range(5):
-            assert matrices_equal(kron(s1, build_recursive(n, X)), build_recursive(n + 1, X))
-
-    def test_size_limit(self):
-        with pytest.raises(SizeLimitError):
-            kron(build_recursive(6, X), build_recursive(7, X))
-
-
 class TestMatMul:
     def test_order_one_product(self):
         prod = matmul(build_recursive(1, X), build_recursive(1, Y))
@@ -214,7 +182,7 @@ class TestMatMul:
 
     def test_operator(self):
         a = build_recursive(2, X).to_poly_matrix()
-        assert a @ identity(2) == a
+        assert matmul(a, identity(2)) == a
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -35,7 +35,7 @@ def test_every_traced_attribute_resolves(monkeypatch):
         assert identities.verify_group_law(1)
     finally:
         tracer.remove()
-    # S_1 built for X, Y, X+Y, X and -X: five builds of 3^1 entries
-    assert tracer.counts["matrices.build_recursive.entries"] == 5 * 3
+    # S_1 built for X, Y, X+Y and -X, S_1(X) shared by both products: four builds of 3^1 entries
+    assert tracer.counts["matrices.build_recursive.entries"] == 4 * 3
     assert tracer.counts["matrices.matmul.poly_products"] > 0
     assert [_resolve(module, path) for module, path in targets] == originals
