@@ -8,14 +8,12 @@ a counterexample, 2 usage or size-limit error, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 from . import identities, matrices
 from .algebra import ONE, ZERO, Poly, X
 from .digits import DigitVector
-from .errors import SizeLimitError
 
 USAGE_ERROR = 2
 COUNTEREXAMPLE = 1
@@ -179,7 +177,7 @@ def render_pbm(cells) -> str:
     lines = [b"P1", f"{width} {width}".encode()]
     for row in cells:
         if not isinstance(row, (bytes, bytearray)):
-            row = bytes(map(bool, row))  # p >= 128 rows are ints that need not fit in a byte
+            row = bytes(map(bool, row))  # p >= 128 rows hold cells wider than a byte
         line = bytearray(blank)
         line[::2] = row.translate(_BITS).ljust(width, b"0")
         lines.append(line)
@@ -203,9 +201,7 @@ def cmd_triangle(args, out) -> int:
     elif args.format == "pbm":
         print(render_pbm(cells), file=out)
     else:
-        writer = csv.writer(out)
-        for row in cells:
-            writer.writerow(row)
+        out.writelines(",".join(map(str, row)) + "\r\n" for row in cells)  # csv's record ending
     return 0
 
 
@@ -246,7 +242,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return BROKEN_PIPE
-    except (SizeLimitError, ValueError) as exc:
+    except OSError as exc:
+        # --output names a missing directory or a directory, or stdout failed otherwise
+        print(f"error: cannot write {args.output or 'stdout'}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
+    except ValueError as exc:  # SizeLimitError included
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

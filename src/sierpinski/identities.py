@@ -14,7 +14,8 @@ ingredients and compares exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 
 from .algebra import ONE, Poly, X, Y, binomial, p_adic_valuation
 from .digits import carry_count, carry_free, carry_free_summands, is_prime, sum_of_digits
@@ -42,17 +43,22 @@ __all__ = [
 EXPONENT_CAP = 24  # 2^24 summands is the ceiling for one expansion
 MAX_RANGE = 4096  # ~8.4 M additivity pairs below it, as many as acceptance criterion 6 checks
 MAX_KUMMER_ROWS = 1024
+MAX_M_BITS = 14_284  # 2^14284 < 10^4300, so m=... fits the default int-to-str digit limit
+_CELL_FORMAT = {2: "H", 4: "I", 8: "Q"}  # memoryview.cast codes for wide Pascal cells
+_CELL_STEP = 1 if sys.byteorder == "little" else -1  # a big-endian row holds cell n first
 
 
-@dataclass(frozen=True)
 class TermList:
     """Exponent pairs of one digital binomial expansion, ascending in k.
 
     Each term is (k, s(k), s(m-k)) for a carry-free summand k of m.
     """
 
-    m: int
-    terms: tuple[tuple[int, int, int], ...]
+    __slots__ = ("m", "terms")
+
+    def __init__(self, m: int, terms: tuple[tuple[int, int, int], ...]):
+        self.m = m
+        self.terms = terms
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -65,15 +71,14 @@ class TermList:
         return Poly(counts)
 
 
-@dataclass(frozen=True)
-class TriangleMod:
+class TriangleMod(namedtuple("TriangleMod", ["modulus", "cells"])):
     """The first `rows` rows of Pascal's triangle reduced mod a prime.
 
-    Row n of `cells` is bytes (one byte a residue) for p < 128, else a tuple.
+    Row n of `cells` is bytes (one byte a residue) for p < 128, else a
+    memoryview of 2-, 4- or 8-byte residues.
     """
 
-    modulus: int
-    cells: tuple[bytes | tuple[int, ...], ...]
+    __slots__ = ()
 
     @property
     def rows(self) -> int:
@@ -83,17 +88,19 @@ class TriangleMod:
         return tuple(self.cells[n])
 
 
-@dataclass(frozen=True)
-class Report:
-    """Outcome of one verification run, serializable as key:value lines."""
+class Report(
+    namedtuple(
+        "Report",
+        ["identity", "parameter", "passed", "lhs", "rhs", "first_mismatch", "cases"],
+        defaults=("", "", "", 0),
+    )
+):
+    """Outcome of one verification run, serializable as key:value lines.
 
-    identity: str
-    parameter: str
-    passed: bool
-    lhs: str = ""
-    rhs: str = ""
-    first_mismatch: str = ""
-    cases: int = 0  # inputs the check covered; not part of to_text()
+    `cases` counts the inputs the check covered; it is not part of to_text().
+    """
+
+    __slots__ = ()
 
     @property
     def status(self) -> str:
@@ -197,9 +204,15 @@ def exponent_pair_counts(m: int) -> PairCounts:
 
 
 def verify_digital_binomial(m: int) -> Report:
-    """Compare (X+Y)^s(m) with the exponent_pair_counts digit walk of m, exactly."""
+    """Compare (X+Y)^s(m) with the exponent_pair_counts digit walk of m, exactly.
+
+    An m of more than MAX_M_BITS bits is refused before the walk: its
+    Report could not print m.
+    """
     if m < 0:
         raise ValueError(f"m must be non-negative, got {m}")
+    if m.bit_length() > MAX_M_BITS:
+        raise SizeLimitError(f"m has {m.bit_length()} bits, past the cap of {MAX_M_BITS}")
     sigma = sum_of_digits(m)
     _check_exponent_cap(m, sigma)
     lhs = (X + Y) ** sigma
@@ -322,11 +335,12 @@ def verify_kummer(n_max: int, p: int) -> Report:
 def pascal_mod(rows: int, p: int) -> TriangleMod:
     """First `rows` rows of Pascal's triangle mod p, by the mod-p recurrence.
 
-    A row is one integer, `width` bytes a cell, cell k lowest.  Adding its
-    shift by one field forms every C(n, k-1) + C(n, k) <= 2p - 2 at once;
-    `bias` (2^(field-1) - p a field) sets a field's top bit exactly where
-    that sum reached p, and p is subtracted there.  This additive rule uses
-    neither Lucas' theorem nor the matrix family, so
+    A row is one integer, `width` bytes a cell, cell k lowest, unpacked in
+    the host's byte order so that memoryview.cast reads its cells back.
+    Adding its shift by one field forms every C(n, k-1) + C(n, k) <= 2p - 2
+    at once; `bias` (2^(field-1) - p a field) sets a field's top bit
+    exactly where that sum reached p, and p is subtracted there.  This
+    additive rule uses neither Lucas' theorem nor the matrix family, so
     verify_triangle_matrix_correspondence stays an independent check.
     """
     if rows < 1:
@@ -335,18 +349,17 @@ def pascal_mod(rows: int, p: int) -> TriangleMod:
         raise SizeLimitError(f"rows = {rows} exceeds the limit {1 << 14}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    width = (p.bit_length() + 8) // 8  # one byte for every p < 128
+    width = next(w for w in (1, 2, 4, 8) if 8 * w > p.bit_length())  # one byte for p < 128
     field = 8 * width
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * (rows + 1), "little")
     bias = ones * ((1 << (field - 1)) - p)
     cells = []
     row = 1
     for n in range(rows):
-        data = row.to_bytes(width * (n + 1), "little")
+        data = row.to_bytes(width * (n + 1), sys.byteorder)
         if width > 1:
-            cut = range(0, len(data), width)
-            data = tuple(int.from_bytes(data[i : i + width], "little") for i in cut)
-        cells.append(data)
+            data = memoryview(data).cast(_CELL_FORMAT[width])
+        cells.append(data[::_CELL_STEP])
         row += row << field
         row -= p * (((row + bias) >> (field - 1)) & ones)
     return TriangleMod(modulus=p, cells=tuple(cells))

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from collections import Counter
 
 from .algebra import ONE, Poly
+from .digits import carry_free_summands
 from .errors import SizeLimitError
 
 __all__ = [
@@ -180,16 +181,7 @@ def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
     submask enumeration) and zero elsewhere; no recursion involved.
     """
     _check_build_order(n)
-    rows = []
-    for j in range(1 << n):
-        row = []
-        k = 0
-        while True:
-            row.append((k, (j - k).bit_count()))
-            if k == j:
-                break
-            k = (k - j) & j
-        rows.append(row)
+    rows = [[(k, (j - k).bit_count()) for k in carry_free_summands(j)] for j in range(1 << n)]
     return MonomialMatrix(n, argument, rows)
 
 

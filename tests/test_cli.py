@@ -336,9 +336,9 @@ class TestTriangle:
             result = run_cli("triangle", "--rows", str(rows), "--mod", str(p), "--format", fmt)
             assert result.stdout == want
 
-    @pytest.mark.parametrize("p", [131, 257])
+    @pytest.mark.parametrize("p", [131, 257, 65537, 4294967291])
     def test_wide_modulus_pbm_matches_reference(self, p):
-        # two-byte cells; row 131 holds the first zero residues mod 131
+        # two-, four- and eight-byte cells; row 131 holds the first zero residues mod 131
         want = reference_render(reference_pascal_cells(140, p), p, "pbm")
         result = run_cli("triangle", "--rows", "140", "--mod", str(p), "--format", "pbm")
         assert result.stdout == want
@@ -403,10 +403,15 @@ class TestCounterexampleExit:
 
 
 class TestContract:
-    def test_import_does_not_load_numpy(self):
-        code = "import sys, sierpinski.cli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    def test_import_does_not_load_unused_modules(self):
+        # numpy alone costs more than the whole package; dataclasses pulls in inspect
+        code = (
+            "import sys, sierpinski.cli; "
+            "print(*sorted({'numpy', 'dataclasses', 'inspect', 'csv'} & set(sys.modules)))"
+        )
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+        assert result.stdout == "\n"
 
     def test_deterministic_output(self):
         first = run_cli_process("matrix", "5", "--arg", "x")
@@ -457,6 +462,17 @@ class TestContract:
             assert result.stderr.startswith("error: ")
             assert target.read_bytes() == b"keep\n"
             assert os.listdir(tmp_path) == ["f"]
+        # a target that cannot be written: a missing directory, or a directory
+        (tmp_path / "d").mkdir()
+        (tmp_path / "d" / "g").write_bytes(b"keep\n")
+        for bad in (tmp_path / "missing" / "f", tmp_path / "d"):
+            result = run_cli("digits", "5", "--output", str(bad))
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert result.stderr.startswith(f"error: cannot write {bad}: ")
+            assert sorted(os.listdir(tmp_path)) == ["d", "f"]
+            assert os.listdir(tmp_path / "d") == ["g"]
+            assert (tmp_path / "d" / "g").read_bytes() == b"keep\n"
 
     def test_matrix_grid_matches_triangle_lower_part(self):
         # mod-2 correspondence surfaces at the CLI level as well

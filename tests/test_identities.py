@@ -161,6 +161,21 @@ class TestVerifyDigitalBinomial:
             verify_digital_binomial((1 << 25) - 1)
         assert verify_digital_binomial((1 << 24) - 1).passed  # s(m) = EXPONENT_CAP
 
+    def test_bit_cap_refuses_before_the_walk(self, monkeypatch):
+        # past MAX_M_BITS the Report could not print m=...; refuse before walking
+        from sierpinski import identities
+
+        assert verify_digital_binomial(1 << 14000).passed
+
+        def walk_nothing(m):
+            raise AssertionError("walk started")
+
+        monkeypatch.setattr(identities, "exponent_pair_counts", walk_nothing)
+        with pytest.raises(SizeLimitError, match="cap"):
+            verify_digital_binomial(1 << 20000)
+        with pytest.raises(SizeLimitError, match="cap"):
+            verify_digital_binomial(1 << identities.MAX_M_BITS)
+
     def test_report_text_fields(self):
         text = verify_digital_binomial(3).to_text()
         lines = text.splitlines()
@@ -182,6 +197,10 @@ class TestVerifyDigitalBinomial:
         assert not report
         assert report.status == "fail"
         assert "first_mismatch:" in report.to_text()
+        assert repr(Report("stub", "m=1", True, cases=2)) == (
+            "Report(identity='stub', parameter='m=1', passed=True, lhs='', rhs='', "
+            "first_mismatch='', cases=2)"
+        )
 
 
 class TestVerifyRange:
@@ -373,8 +392,9 @@ class TestPascalMod:
                 assert row[k] == math.comb(n, k) % 2
 
     def test_against_math_comb_across_cell_widths(self):
-        # p = 127 fills a one-byte cell; 131 and 257 take two bytes
-        for p in (3, 5, 7, 127, 131, 257):
+        # p = 127 fills a one-byte cell; 131 and 257 take two bytes, 65537
+        # and 2^31 - 1 four, 4294967291 eight
+        for p in (3, 5, 7, 127, 131, 257, 65537, 2**31 - 1, 4294967291):
             tri = pascal_mod(200, p)
             for n in range(200):
                 assert tri.row(n) == tuple(math.comb(n, k) % p for k in range(n + 1)), (p, n)
