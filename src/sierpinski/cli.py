@@ -8,6 +8,7 @@ a counterexample, 2 usage or size-limit error, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -148,9 +149,9 @@ def _triangle_cells(source: str, rows_or_order: int, modulus: int):
     if source == "matrix-ones":
         matrix = matrices.build_closed_form(rows_or_order, ONE)
         rows = []
-        for j in range(matrix.size):
+        for j, cols in enumerate(matrix.cols):
             row = bytearray(j + 1)
-            for k, _ in matrix.rows[j]:
+            for k in memoryview(cols).cast("H"):
                 row[k] = 1
             rows.append(row)
         return tuple(rows)
@@ -184,6 +185,19 @@ def render_pbm(cells) -> str:
     return b"\n".join(lines).decode("ascii")
 
 
+def _csv_records(cells, modulus: int):
+    """One csv record a row, each ended by csv's \\r\\n."""
+    for row in cells:
+        if modulus > 7:
+            yield ",".join(map(str, row)) + "\r\n"
+        else:
+            # single-digit residues: the digits at even offsets, commas between
+            line = bytearray(b",") * (2 * len(row) - 1)
+            line[::2] = row.translate(_DIGITS)
+            line += b"\r\n"
+            yield line.decode("ascii")
+
+
 def cmd_triangle(args, out) -> int:
     source = args.source
     if source is None:
@@ -201,7 +215,7 @@ def cmd_triangle(args, out) -> int:
     elif args.format == "pbm":
         print(render_pbm(cells), file=out)
     else:
-        out.writelines(",".join(map(str, row)) + "\r\n" for row in cells)  # csv's record ending
+        out.writelines(_csv_records(cells, args.mod))
     return 0
 
 
@@ -220,6 +234,9 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     try:
         if args.output:
+            if os.path.isdir(args.output) and not os.path.islink(args.output):
+                # the rename at the end would fail: refuse before the command runs
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             # a temp file beside the target, renamed over it only on success,
             # so an error never leaves a truncated or half-written file
             tmp = f"{args.output}.{os.getpid()}.tmp"

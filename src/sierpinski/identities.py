@@ -368,18 +368,27 @@ def pascal_mod(rows: int, p: int) -> TriangleMod:
 def verify_triangle_matrix_correspondence(n: int) -> Report:
     """The 0/1 pattern of S_n(1) must equal Pascal's triangle mod 2.
 
-    cases counts the cells of the lower triangle compared.
+    Row j of S_n(1) is written out as bytes, 1 at a stored column whose
+    entry argument**e is ONE and 0 elsewhere, and compared with row j of
+    pascal_mod(2^n, 2).  Independence: the matrix side is
+    build_closed_form's submask enumeration and Poly powers (checked once
+    per distinct stored exponent, since an entry depends on nothing else);
+    the triangle side is pascal_mod's additive recurrence, which uses
+    neither submasks nor Lucas' theorem.  cases counts the cells of the
+    lower triangle compared, up to and including the first mismatch.
     """
     if n < 0:
         raise ValueError(f"order must be non-negative, got {n}")
     matrix = build_closed_form(n, ONE)
     triangle = pascal_mod(matrix.size, 2)
+    # 2 marks a stored entry that is not ONE: no residue mod 2 matches it
+    marks = {e: 1 if matrix.argument**e == ONE else 2 for e in set(b"".join(matrix.exps))}
     name, parameter = "triangle-matrix-correspondence", f"order={n}"
-    for j in range(matrix.size):
-        stored = dict(matrix.rows[j])
-        residues = triangle.row(j)
-        for k in range(j + 1):
-            present = k in stored
-            if present != (residues[k] == 1) or (present and matrix.entry(j, k) != ONE):
-                return Report(name, parameter, False, cases=j * (j + 1) // 2 + k + 1)
+    for j, residues in enumerate(triangle.cells):
+        pattern = bytearray(j + 1)
+        for k, e in zip(memoryview(matrix.cols[j]).cast("H"), matrix.exps[j]):
+            pattern[k] = marks[e]
+        if pattern != residues:
+            k = next(k for k in range(j + 1) if pattern[k] != residues[k])
+            return Report(name, parameter, False, cases=j * (j + 1) // 2 + k + 1)
     return Report(name, parameter, True, cases=matrix.size * (matrix.size + 1) // 2)

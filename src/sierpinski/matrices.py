@@ -1,9 +1,10 @@
 """The one-parameter Sierpinski matrix family, built two independent ways.
 
 ``MonomialMatrix`` stores the family itself: every nonzero entry of S_n(arg)
-is arg raised to some power, so a row needs only (column, exponent) pairs and
-the whole matrix costs 3^n small words.  ``PolyMatrix`` holds full
-polynomial entries and is what products like S_n(X)*S_n(Y) live in.
+is arg raised to some power, so a row needs only its columns and their
+exponents, packed as bytes: the whole matrix costs 3^n times three bytes.
+``PolyMatrix`` holds full polynomial entries and is what products like
+S_n(X)*S_n(Y) live in.
 
 The two constructors are deliberately disjoint code paths:
 
@@ -17,6 +18,8 @@ Their agreement over all orders is one of the package's core checks.
 
 from __future__ import annotations
 
+import struct
+import sys
 from bisect import bisect_left
 from collections import Counter
 
@@ -36,8 +39,12 @@ __all__ = [
     "matrices_equal",
 ]
 
-MAX_BUILD_ORDER = 12  # 3^12 ~ 5.3e5 stored entries
+MAX_BUILD_ORDER = 12  # 3^12 ~ 5.3e5 stored entries; at most 16, so columns fit uint16
 MAX_MUL_ORDER = 10
+
+_INC = bytes((e + 1) & 0xFF for e in range(256))  # exponent e -> e + 1
+_SET_BIT = tuple(bytes(v | 1 << b for v in range(256)) for b in range(8))  # byte v -> v | 2^b
+_HIGH_LANE = 1 if sys.byteorder == "little" else 0  # byte of a uint16 column with bits 8-15
 
 
 def _check_build_order(n: int) -> None:
@@ -50,33 +57,58 @@ def _check_build_order(n: int) -> None:
         )
 
 
+def _pack_columns(columns: list[int]) -> bytes:
+    return struct.pack(f"{len(columns)}H", *columns)
+
+
+def _pairs(cols: bytes, exps: bytes):
+    """(column, exponent) pairs of one packed row."""
+    return zip(memoryview(cols).cast("H"), exps)
+
+
 class MonomialMatrix:
     """2^order x 2^order matrix whose entries are powers of one polynomial.
 
-    ``rows[j]`` lists (column, exponent) pairs sorted by column; entry (j, k)
-    is ``argument ** exponent`` and absent columns are zero.
+    Row j is two byte strings: ``cols[j]`` holds its columns in ascending
+    order as uint16 in the host byte order (``memoryview(...).cast("H")``
+    reads them back), and ``exps[j]`` one exponent byte per column.  Entry
+    (j, k) is ``argument ** exponent`` and absent columns are zero.
+    ``rows[j]`` is the same row as a tuple of (column, exponent) pairs.
     """
 
-    __slots__ = ("order", "argument", "rows")
+    __slots__ = ("order", "argument", "cols", "exps")
 
     def __init__(self, order: int, argument: Poly, rows):
+        """Pack rows of (column, exponent) pairs, sorted by column."""
+        rows = [tuple(row) for row in rows]
         self.order = order
         self.argument = argument
-        self.rows = tuple(tuple(row) for row in rows)
+        self.cols = tuple(_pack_columns([k for k, _ in row]) for row in rows)
+        self.exps = tuple(bytes([e for _, e in row]) for row in rows)
+
+    @classmethod
+    def _packed(cls, order: int, argument: Poly, cols, exps) -> "MonomialMatrix":
+        m = cls.__new__(cls)
+        m.order, m.argument, m.cols, m.exps = order, argument, tuple(cols), tuple(exps)
+        return m
 
     @property
     def size(self) -> int:
         return 1 << self.order
 
+    @property
+    def rows(self) -> "_PairRows":
+        return _PairRows(self)
+
     def nonzero_count(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self.exps))
 
     def exponent(self, j: int, k: int) -> int | None:
         """Stored exponent at (j, k), or None where the entry is zero."""
-        row = self.rows[j]
-        i = bisect_left(row, (k,))
-        if i < len(row) and row[i][0] == k:
-            return row[i][1]
+        cols = memoryview(self.cols[j]).cast("H")
+        i = bisect_left(cols, k)
+        if i < len(cols) and cols[i] == k:
+            return self.exps[j][i]
         return None
 
     def entry(self, j: int, k: int) -> Poly:
@@ -85,18 +117,21 @@ class MonomialMatrix:
 
     def _powers(self) -> dict[int, Poly]:
         """argument**e for every stored exponent e, each computed once."""
-        return {e: self.argument**e for e in {e for row in self.rows for _, e in row}}
+        return {e: self.argument**e for e in set(b"".join(self.exps))}
 
     def to_poly_matrix(self) -> "PolyMatrix":
         powers = self._powers()  # a zero power is dropped by PolyMatrix
-        return PolyMatrix(self.order, ({k: powers[e] for k, e in row} for row in self.rows))
+        return PolyMatrix(
+            self.order,
+            ({k: powers[e] for k, e in _pairs(c, x)} for c, x in zip(self.cols, self.exps)),
+        )
 
     def grid(self, render=str, sep: str = "\t"):
         """Lines of the full square grid, render run once per exponent; zero is "0"."""
         tokens = {e: render(p) for e, p in self._powers().items()}
-        for row in self.rows:
+        for cols, exps in zip(self.cols, self.exps):
             cells = ["0"] * self.size
-            for k, e in row:
+            for k, e in _pairs(cols, exps):
                 cells[k] = tokens[e]
             yield sep.join(cells)
 
@@ -106,6 +141,24 @@ class MonomialMatrix:
 
     def __repr__(self) -> str:
         return f"MonomialMatrix(order={self.order}, argument={self.argument})"
+
+
+class _PairRows:
+    """Read-only rows of a MonomialMatrix as (column, exponent) pair tuples.
+
+    Indexing row j unpacks that row alone.
+    """
+
+    __slots__ = ("_matrix",)
+
+    def __init__(self, matrix: MonomialMatrix):
+        self._matrix = matrix
+
+    def __len__(self) -> int:
+        return len(self._matrix.cols)
+
+    def __getitem__(self, j: int) -> tuple[tuple[int, int], ...]:
+        return tuple(_pairs(self._matrix.cols[j], self._matrix.exps[j]))
 
 
 class PolyMatrix:
@@ -161,17 +214,22 @@ def build_recursive(n: int, argument: Poly) -> MonomialMatrix:
 
     Kronecker with S_1 = [[1, 0], [x, 1]] maps the current matrix M to
     [[M, 0], [x*M, M]]; in exponent form the x*M block raises every stored
-    exponent by one and the second diagonal block copies M shifted.
+    exponent by one and the second diagonal block copies M shifted.  On
+    the packed rows both are one byte translation: the exponent bytes
+    through e -> e + 1, and the byte lane of each column holding bit t
+    through v -> v | 2^(t mod 8), which adds the old size 2^t.
     """
     _check_build_order(n)
-    rows: list[list[tuple[int, int]]] = [[(0, 0)]]
-    size = 1
-    for _ in range(n):
-        for j in range(size):
-            base = rows[j]
-            rows.append([(k, e + 1) for k, e in base] + [(k + size, e) for k, e in base])
-        size <<= 1
-    return MonomialMatrix(n, argument, rows)
+    cols, exps = [_pack_columns([0])], [b"\x00"]
+    for t in range(n):
+        lane = _HIGH_LANE if t >= 8 else 1 - _HIGH_LANE
+        table = _SET_BIT[t & 7]
+        for j in range(1 << t):
+            shifted = bytearray(cols[j])
+            shifted[lane::2] = shifted[lane::2].translate(table)
+            cols.append(cols[j] + shifted)
+            exps.append(exps[j].translate(_INC) + exps[j])
+    return MonomialMatrix._packed(n, argument, cols, exps)
 
 
 def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
@@ -181,8 +239,12 @@ def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
     submask enumeration) and zero elsewhere; no recursion involved.
     """
     _check_build_order(n)
-    rows = [[(k, (j - k).bit_count()) for k in carry_free_summands(j)] for j in range(1 << n)]
-    return MonomialMatrix(n, argument, rows)
+    cols, exps = [], []
+    for j in range(1 << n):
+        summands = carry_free_summands(j)
+        cols.append(_pack_columns(summands))
+        exps.append(bytes([(j - k).bit_count() for k in summands]))
+    return MonomialMatrix._packed(n, argument, cols, exps)
 
 
 def identity(order: int) -> PolyMatrix:
@@ -196,7 +258,7 @@ def _promote(m: MonomialMatrix | PolyMatrix) -> PolyMatrix:
 def _keyed(m: MonomialMatrix | PolyMatrix):
     """(column, key) rows and a key -> Poly lookup; a key is an exponent or an interned entry."""
     if isinstance(m, MonomialMatrix):
-        return m.rows, m._powers()
+        return list(m.rows), m._powers()
     keys: dict[Poly, int] = {}
     rows = [[(k, keys.setdefault(p, len(keys))) for k, p in row.items()] for row in m._rows]
     return rows, list(keys)
@@ -243,12 +305,13 @@ def matmul(a, b) -> PolyMatrix:
 def matrices_equal(a, b) -> bool:
     """Exact entry-by-entry equality.
 
-    Two MonomialMatrix objects with the same order, argument and stored
-    exponents are equal without expansion.  Anything else is expanded, since
-    different exponents can still give equal entries (arguments 0, 1, -1).
+    Two MonomialMatrix objects with the same order, argument and packed
+    rows are equal without expansion: the rows compare as bytes.  Anything
+    else is expanded, since different exponents can still give equal
+    entries (arguments 0, 1, -1).
     """
     if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix) and (
-        (a.order, a.argument, a.rows) == (b.order, b.argument, b.rows)
+        (a.order, a.argument, a.cols, a.exps) == (b.order, b.argument, b.cols, b.exps)
     ):
         return True
     return _promote(a) == _promote(b)

@@ -474,6 +474,25 @@ class TestContract:
             assert os.listdir(tmp_path / "d") == ["g"]
             assert (tmp_path / "d" / "g").read_bytes() == b"keep\n"
 
+    def test_directory_output_refused_before_the_command_runs(self, monkeypatch, tmp_path):
+        from sierpinski import identities
+
+        def ran(*args):
+            raise AssertionError("the command ran before its --output was refused")
+
+        monkeypatch.setattr(identities, "verify_digital_binomial", ran)
+        result = run_cli("verify", "all", "--output", str(tmp_path))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot write {tmp_path}: ")
+        assert os.listdir(tmp_path) == []
+        # a symlink to a directory is replaced by the file, as the rename does
+        (tmp_path / "d").mkdir()
+        (tmp_path / "link").symlink_to(tmp_path / "d")
+        assert run_cli("digits", "5", "--output", str(tmp_path / "link")).returncode == 0
+        assert (tmp_path / "link").read_text().startswith("value=5\n")
+        assert os.listdir(tmp_path / "d") == []
+
     def test_matrix_grid_matches_triangle_lower_part(self):
         # mod-2 correspondence surfaces at the CLI level as well
         grid = run_cli("matrix", "3", "--arg", "one").stdout.splitlines()

@@ -24,7 +24,7 @@ from sierpinski.identities import (
     verify_range,
     verify_triangle_matrix_correspondence,
 )
-from sierpinski.matrices import build_closed_form, matmul
+from sierpinski.matrices import MonomialMatrix, build_closed_form, matmul
 
 
 def brute_force_expansion(m):
@@ -429,6 +429,18 @@ class TestTriangleMatrixCorrespondence:
         report = verify_triangle_matrix_correspondence(3)
         assert not report
         assert report.cases == 2
+
+    def test_failure_counts_cells_up_to_a_missing_entry(self, monkeypatch):
+        # row 5 without column 1: cells (0, 0) to (4, 4) pass, then (5, 0), then (5, 1) fails
+        def build(n, arg):
+            rows = [list(row) for row in build_closed_form(n, arg).rows]
+            del rows[5][1]
+            return MonomialMatrix(n, arg, rows)
+
+        monkeypatch.setattr(identities, "build_closed_form", build)
+        report = verify_triangle_matrix_correspondence(3)
+        assert not report
+        assert report.cases == 5 * 6 // 2 + 2
 
 
 class TestNumericCrossCheck:

@@ -1,13 +1,16 @@
 """Matrix family: two constructions and exact products."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from sierpinski import identities
 from sierpinski.algebra import ONE, X, Y, ZERO, Poly
 from sierpinski.digits import carry_free, sum_of_digits
 from sierpinski.errors import SizeLimitError
 from sierpinski.matrices import (
+    MAX_BUILD_ORDER,
     MonomialMatrix,
     PolyMatrix,
     build_closed_form,
@@ -220,6 +223,68 @@ class TestStructure:
         for j in range(8):
             for k, e in m.rows[j]:
                 assert grid.entry(j, k) == (X + Y) ** e
+
+
+def corrupted(m: MonomialMatrix, field: str) -> MonomialMatrix:
+    """m with one byte of row 45 changed: column 1 -> 3, or exponent s(44) -> s(44) + 1."""
+    packed = list(getattr(m, field))
+    row = bytearray(packed[45])
+    if field == "cols":
+        memoryview(row).cast("H")[1] = 3  # 3 is no submask of 45 = 0b101101
+    else:
+        row[1] += 1
+    packed[45] = bytes(row)
+    setattr(m, field, tuple(packed))
+    return m
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("build", [build_recursive, build_closed_form])
+    def test_pair_rows_match_submask_oracle(self, build):
+        for n in range(11):
+            m = build(n, X)
+            assert len(m.rows) == m.size
+            for j in range(m.size):
+                want = tuple((k, sum_of_digits(j - k)) for k in range(j + 1) if k & j == k)
+                assert m.rows[j] == want, (n, j)
+        assert list(m.rows) == [m.rows[j] for j in range(m.size)]
+
+    def test_pair_constructor_packs_like_the_builders(self):
+        m = build_recursive(6, X)
+        again = MonomialMatrix(6, X, m.rows)
+        assert (again.cols, again.exps) == (m.cols, m.exps)
+
+    @pytest.mark.parametrize("field", ["cols", "exps"])
+    def test_one_corrupted_byte_fails_equality_and_group_law(self, monkeypatch, field):
+        wrong = corrupted(build_recursive(6, X), field)
+        assert not matrices_equal(wrong, build_closed_form(6, X))
+        assert not matrices_equal(wrong, build_recursive(6, X).to_poly_matrix())
+
+        def build(n, arg):
+            m = build_recursive(n, arg)
+            return corrupted(m, field) if arg == X else m
+
+        monkeypatch.setattr(identities, "build_recursive", build)
+        assert not identities.verify_group_law(6)
+
+    def test_top_order_builds_stay_small(self):
+        # the pair-tuple rows these replaced took ~98 MB for the same two builds
+        tracemalloc.start()
+        try:
+            a = build_recursive(12, X)
+            b = build_closed_form(12, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrices_equal(a, b)
+        assert peak < 12 * 2**20
+
+    def test_entries_fit_their_fields(self):
+        # columns are uint16 and exponents one byte each
+        assert MAX_BUILD_ORDER <= 16
+        m = build_recursive(MAX_BUILD_ORDER, X)
+        assert max(b"".join(m.exps)) == MAX_BUILD_ORDER <= 255
+        assert max(memoryview(m.cols[-1]).cast("H")) == m.size - 1 < 1 << 16
 
 
 class TestPolyMatrix:
