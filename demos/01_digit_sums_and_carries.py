@@ -3,7 +3,7 @@
 Run:  python demos/01_digit_sums_and_carries.py
 """
 
-from sierpinski import DigitVector, carry_count, carry_free, carry_free_summands, sum_of_digits
+from sierpinski import base_digits, carry_count, carry_free, carry_free_summands, sum_of_digits
 
 # s(k) is the number of 1-bits of k: s(3) = s(0b11) = 2
 print("k, binary, s(k):")
@@ -28,6 +28,6 @@ for m in (0, 3, 5, 12, 21):
     print(f"m = {m:2d} ({m:05b}) splits carry-free at k = {ks}  ({len(ks)} = 2^{sum_of_digits(m)})")
 print()
 
-# digit vectors expose the raw expansions, least-significant digit first
-vec = DigitVector(1000, base=7)
-print(f"1000 in base 7, low digit first: {list(vec.digits)}, digit sum {vec.digit_sum()}")
+# base_digits exposes the raw expansion, least-significant digit first
+digits = base_digits(1000, base=7)
+print(f"1000 in base 7, low digit first: {list(digits)}, digit sum {sum(digits)}")

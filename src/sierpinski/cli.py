@@ -14,7 +14,7 @@ import sys
 
 from . import identities, matrices
 from .algebra import ONE, ZERO, Poly, X
-from .digits import DigitVector
+from .digits import base_digits
 
 USAGE_ERROR = 2
 COUNTEREXAMPLE = 1
@@ -95,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_digits(args, out) -> int:
-    vec = DigitVector(args.value, args.base)
-    print(f"value={vec.value}", file=out)
-    print(f"base={vec.base}", file=out)
-    print("digits=" + ",".join(str(d) for d in vec.digits), file=out)
-    print(f"s={vec.digit_sum()}", file=out)
+    digits = base_digits(args.value, args.base)
+    print(f"value={args.value}", file=out)
+    print(f"base={args.base}", file=out)
+    print("digits=" + ",".join(str(d) for d in digits), file=out)
+    print(f"s={sum(digits)}", file=out)
     return 0
 
 
@@ -118,11 +118,9 @@ def cmd_matrix(args, out) -> int:
         parameter = f"order={args.order} arg={args.arg}"
         print(identities.Report("construction-equivalence", parameter, same).to_text(), file=out)
         return 0 if same else COUNTEREXAMPLE
-    if args.format == "poly":
-        print(matrix.dump(), file=out)
-    else:
-        for line in matrix.grid(Poly.pretty, " "):
-            print(line, file=out)
+    render, sep = (str, "\t") if args.format == "poly" else (Poly.pretty, " ")
+    for line in matrix.grid(render, sep):
+        print(line, file=out)
     return 0
 
 
@@ -135,38 +133,22 @@ def cmd_expand(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    ok = True
-    for i, suite in enumerate(suites):
-        if i:
-            print("", file=out)
-        report = _SUITES[suite](args)
-        print(report.to_text(), file=out)
-        ok = report.passed and ok
-    return 0 if ok else COUNTEREXAMPLE
-
-
-def _triangle_cells(source: str, rows_or_order: int, modulus: int):
-    if source == "matrix-ones":
-        matrix = matrices.build_closed_form(rows_or_order, ONE)
-        rows = []
-        for j, cols in enumerate(matrix.cols):
-            row = bytearray(j + 1)
-            for k in memoryview(cols).cast("H"):
-                row[k] = 1
-            rows.append(row)
-        return tuple(rows)
-    return identities.pascal_mod(rows_or_order, modulus).cells
+    # every suite runs before anything is printed, so a refusal leaves stdout empty
+    reports = [_SUITES[suite](args) for suite in suites]
+    print("\n\n".join(report.to_text() for report in reports), file=out)
+    return 0 if all(reports) else COUNTEREXAMPLE
 
 
 _DIGITS = bytes((48 + c) & 0xFF for c in range(256))  # residue c -> ASCII digit c
 _BITS = b"0" + b"1" * 255  # nonzero -> 1
 _BLANK_OR_1 = b" " + b"1" * 255
+MAX_ASCII_MOD = 7  # the largest prime whose residues are single digits
 
 
 def render_ascii(cells, modulus: int) -> str:
     # one character per cell; at p=2 a blank stands for residue 0
-    if modulus > 7:
-        raise ValueError("ascii format needs single-character residues (mod <= 7)")
+    if modulus > MAX_ASCII_MOD:
+        raise ValueError(f"ascii format needs single-character residues (mod <= {MAX_ASCII_MOD})")
     table = _BLANK_OR_1 if modulus == 2 else _DIGITS
     return b"\n".join(bytes(row).translate(table).rstrip() for row in cells).decode("ascii")
 
@@ -188,7 +170,7 @@ def render_pbm(cells) -> str:
 def _csv_records(cells, modulus: int):
     """One csv record a row, each ended by csv's \\r\\n."""
     for row in cells:
-        if modulus > 7:
+        if modulus > MAX_ASCII_MOD:
             yield ",".join(map(str, row)) + "\r\n"
         else:
             # single-digit residues: the digits at even offsets, commas between
@@ -199,17 +181,18 @@ def _csv_records(cells, modulus: int):
 
 
 def cmd_triangle(args, out) -> int:
-    source = args.source
-    if source is None:
-        source = "matrix-ones" if args.order is not None else "pascal-mod"
-    if source == "matrix-ones" and args.order is None:
-        raise ValueError("--source matrix-ones requires --order")
-    if source == "pascal-mod" and args.rows is None:
-        raise ValueError("--source pascal-mod requires --rows")
-    if source == "matrix-ones" and args.mod != 2:
+    matrix_ones = args.order is not None  # else --rows: argparse makes the two exclusive
+    if args.source not in (None, "matrix-ones" if matrix_ones else "pascal-mod"):
+        flag = "--rows" if matrix_ones else "--order"
+        raise ValueError(f"--source {args.source} requires {flag}")
+    if matrix_ones and args.mod != 2:
         raise ValueError("matrix-ones patterns are mod-2 only")
-    rows_or_order = args.order if source == "matrix-ones" else args.rows
-    cells = _triangle_cells(source, rows_or_order, args.mod)
+    if args.format == "ascii" and args.mod > MAX_ASCII_MOD:  # refused before the build
+        raise ValueError(f"ascii format needs single-character residues (mod <= {MAX_ASCII_MOD})")
+    if matrix_ones:
+        cells = tuple(matrices.build_closed_form(args.order, ONE).marked_rows(lambda e: 1))
+    else:
+        cells = identities.pascal_mod(args.rows, args.mod).cells
     if args.format == "ascii":
         print(render_ascii(cells, args.mod), file=out)
     elif args.format == "pbm":

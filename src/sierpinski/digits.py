@@ -15,7 +15,7 @@ from .errors import SizeLimitError
 
 __all__ = [
     "PRIME_LIMIT",
-    "DigitVector",
+    "base_digits",
     "sum_of_digits",
     "carry_free",
     "carry_count",
@@ -49,42 +49,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class DigitVector:
-    """Positional expansion of a non-negative integer, least-significant first.
+def base_digits(value: int, base: int = 2) -> tuple[int, ...]:
+    """Positional digits of a non-negative integer, least-significant first.
 
-    The zero value is canonically the empty expansion, so no digit vector
-    ever carries a trailing zero digit.
+    Zero is canonically the empty tuple, so no expansion ever ends in a
+    zero digit.
     """
-
-    __slots__ = ("value", "base", "digits")
-
-    def __init__(self, value: int, base: int = 2):
-        _check_nonnegative("value", value)
-        if base < 2:
-            raise ValueError(f"base must be >= 2, got {base}")
-        self.value = value
-        self.base = base
-        digits = []
-        while value:
-            value, d = divmod(value, base)
-            digits.append(d)
-        self.digits = tuple(digits)
-
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DigitVector):
-            return NotImplemented
-        return self.value == other.value and self.base == other.base
-
-    def __repr__(self) -> str:
-        return f"DigitVector({self.value}, base={self.base})"
+    _check_nonnegative("value", value)
+    if base < 2:
+        raise ValueError(f"base must be >= 2, got {base}")
+    digits = []
+    while value:
+        value, d = divmod(value, base)
+        digits.append(d)
+    return tuple(digits)
 
 
 def sum_of_digits(value: int, base: int = 2) -> int:
     """Sum of the base-`base` digits of `value` (population count for base 2)."""
-    return DigitVector(value, base).digit_sum()
+    return sum(base_digits(value, base))
 
 
 def carry_free(a: int, b: int) -> bool:

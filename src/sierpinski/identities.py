@@ -43,6 +43,7 @@ __all__ = [
 EXPONENT_CAP = 24  # 2^24 summands is the ceiling for one expansion
 MAX_RANGE = 4096  # ~8.4 M additivity pairs below it, as many as acceptance criterion 6 checks
 MAX_KUMMER_ROWS = 1024
+MAX_PASCAL_ROWS = 1 << 14
 MAX_M_BITS = 14_284  # 2^14284 < 10^4300, so m=... fits the default int-to-str digit limit
 _CELL_FORMAT = {2: "H", 4: "I", 8: "Q"}  # memoryview.cast codes for wide Pascal cells
 _CELL_STEP = 1 if sys.byteorder == "little" else -1  # a big-endian row holds cell n first
@@ -60,9 +61,6 @@ class TermList:
         self.m = m
         self.terms = terms
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def collect(self) -> Poly:
         """Sum of X^s(k) * Y^s(m-k) over the listed terms."""
         counts: dict[tuple[int, int], int] = {}
@@ -79,10 +77,6 @@ class TriangleMod(namedtuple("TriangleMod", ["modulus", "cells"])):
     """
 
     __slots__ = ()
-
-    @property
-    def rows(self) -> int:
-        return len(self.cells)
 
     def row(self, n: int) -> tuple[int, ...]:
         return tuple(self.cells[n])
@@ -345,8 +339,8 @@ def pascal_mod(rows: int, p: int) -> TriangleMod:
     """
     if rows < 1:
         raise ValueError(f"rows must be positive, got {rows}")
-    if rows > 1 << 14:
-        raise SizeLimitError(f"rows = {rows} exceeds the limit {1 << 14}")
+    if rows > MAX_PASCAL_ROWS:
+        raise SizeLimitError(f"rows = {rows} exceeds the limit {MAX_PASCAL_ROWS}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     width = next(w for w in (1, 2, 4, 8) if 8 * w > p.bit_length())  # one byte for p < 128
@@ -382,12 +376,9 @@ def verify_triangle_matrix_correspondence(n: int) -> Report:
     matrix = build_closed_form(n, ONE)
     triangle = pascal_mod(matrix.size, 2)
     # 2 marks a stored entry that is not ONE: no residue mod 2 matches it
-    marks = {e: 1 if matrix.argument**e == ONE else 2 for e in set(b"".join(matrix.exps))}
+    patterns = matrix.marked_rows(lambda e: 1 if matrix.argument**e == ONE else 2)
     name, parameter = "triangle-matrix-correspondence", f"order={n}"
-    for j, residues in enumerate(triangle.cells):
-        pattern = bytearray(j + 1)
-        for k, e in zip(memoryview(matrix.cols[j]).cast("H"), matrix.exps[j]):
-            pattern[k] = marks[e]
+    for j, (pattern, residues) in enumerate(zip(patterns, triangle.cells)):
         if pattern != residues:
             k = next(k for k in range(j + 1) if pattern[k] != residues[k])
             return Report(name, parameter, False, cases=j * (j + 1) // 2 + k + 1)

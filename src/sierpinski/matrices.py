@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import struct
 import sys
-from bisect import bisect_left
 from collections import Counter
 
 from .algebra import ONE, Poly
@@ -70,10 +69,10 @@ class MonomialMatrix:
     """2^order x 2^order matrix whose entries are powers of one polynomial.
 
     Row j is two byte strings: ``cols[j]`` holds its columns in ascending
-    order as uint16 in the host byte order (``memoryview(...).cast("H")``
-    reads them back), and ``exps[j]`` one exponent byte per column.  Entry
-    (j, k) is ``argument ** exponent`` and absent columns are zero.
-    ``rows[j]`` is the same row as a tuple of (column, exponent) pairs.
+    order as uint16 in the host byte order, and ``exps[j]`` one exponent
+    byte per column.  Entry (j, k) is ``argument ** exponent`` and absent
+    columns are zero.  Only this module reads the bytes; other code reads
+    ``rows[j]`` (row j as (column, exponent) pairs), ``grid`` or ``marked_rows``.
     """
 
     __slots__ = ("order", "argument", "cols", "exps")
@@ -103,18 +102,6 @@ class MonomialMatrix:
     def nonzero_count(self) -> int:
         return sum(map(len, self.exps))
 
-    def exponent(self, j: int, k: int) -> int | None:
-        """Stored exponent at (j, k), or None where the entry is zero."""
-        cols = memoryview(self.cols[j]).cast("H")
-        i = bisect_left(cols, k)
-        if i < len(cols) and cols[i] == k:
-            return self.exps[j][i]
-        return None
-
-    def entry(self, j: int, k: int) -> Poly:
-        e = self.exponent(j, k)
-        return Poly() if e is None else self.argument**e
-
     def _powers(self) -> dict[int, Poly]:
         """argument**e for every stored exponent e, each computed once."""
         return {e: self.argument**e for e in set(b"".join(self.exps))}
@@ -134,6 +121,17 @@ class MonomialMatrix:
             for k, e in _pairs(cols, exps):
                 cells[k] = tokens[e]
             yield sep.join(cells)
+
+    def marked_rows(self, mark):
+        """Row j as j + 1 bytes: mark(e) where argument**e is stored, else 0; one mark per e."""
+        marks = bytearray(256)  # exponent -> its mark, for bytes.translate
+        for e in set(b"".join(self.exps)):
+            marks[e] = mark(e)
+        for j, (cols, exps) in enumerate(zip(self.cols, self.exps)):
+            row = bytearray(j + 1)
+            for k, m in _pairs(cols, exps.translate(marks)):
+                row[k] = m
+            yield row
 
     def dump(self) -> str:
         """Full square grid, one row per line, tab-separated canonical entries."""

@@ -267,6 +267,16 @@ class TestVerify:
             assert result.stdout == ""
             assert result.stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv", [["--max-n", "2000"], ["--p", "4"], ["--order", "11"], ["--order", "13"]]
+    )
+    def test_all_refused_by_a_late_suite_prints_nothing(self, argv):
+        # binomial and additivity pass before kummer, group or correspondence refuses
+        result = run_cli("verify", "all", *argv)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+
     def test_max_m_guard_spares_other_suites(self):
         assert run_cli("verify", "kummer", "--max-m", "1000000000").returncode == 0
 
@@ -308,6 +318,18 @@ class TestTriangle:
         by_pascal = run_cli("triangle", "--rows", "8", "--mod", "2")
         assert by_matrix.returncode == 0
         assert by_matrix.stdout == by_pascal.stdout
+        assert run_cli("triangle", "--rows", "8", "--source", "pascal-mod") == by_pascal
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rows", "8", "--source", "matrix-ones"], "--source matrix-ones requires --order"),
+            (["--order", "3", "--source", "pascal-mod"], "--source pascal-mod requires --rows"),
+            (["--order", "3", "--mod", "3"], "matrix-ones patterns are mod-2 only"),
+        ],
+    )
+    def test_source_follows_the_size_flag(self, argv, message):
+        assert run_cli("triangle", *argv) == (2, "", f"error: {message}\n")
 
     def test_bad_format(self):
         assert run_cli("triangle", "--rows", "4", "--format", "svg").returncode == 2
@@ -315,6 +337,18 @@ class TestTriangle:
     def test_ascii_needs_single_digit_residues(self):
         assert run_cli("triangle", "--rows", "4", "--mod", "11").returncode == 2
         assert run_cli("triangle", "--rows", "4", "--mod", "11", "--format", "csv").returncode == 0
+
+    def test_ascii_refused_before_the_triangle_is_built(self, monkeypatch):
+        from sierpinski import identities
+
+        def never(*_):
+            raise AssertionError("pascal_mod ran before the ascii modulus check")
+
+        monkeypatch.setattr(identities, "pascal_mod", never)
+        result = run_cli("triangle", "--rows", "16384", "--mod", "11", "--format", "ascii")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: ascii format needs single-character residues (mod <= 7)\n"
 
     def test_composite_modulus(self):
         assert run_cli("triangle", "--rows", "4", "--mod", "6").returncode == 2

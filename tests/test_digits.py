@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sierpinski.digits import (
     PRIME_LIMIT,
-    DigitVector,
+    base_digits,
     carry_count,
     carry_count_grid,
     carry_free,
@@ -183,30 +183,32 @@ class TestCarryFreeSummands:
 
 
 class TestDigitVector:
+    """base_digits: the digit vector of a value, least significant digit first."""
+
     def test_reconstruction(self):
-        vec = DigitVector(1234, 10)
-        assert vec.digits == (4, 3, 2, 1)
-        assert sum(d * 10**i for i, d in enumerate(vec.digits)) == 1234
+        digits = base_digits(1234, 10)
+        assert digits == (4, 3, 2, 1)
+        assert sum(d * 10**i for i, d in enumerate(digits)) == 1234
 
     @given(st.integers(0, 2**48), st.integers(2, 12))
     def test_invariants(self, value, base):
-        vec = DigitVector(value, base)
-        assert sum(d * base**i for i, d in enumerate(vec.digits)) == value
-        assert all(0 <= d < base for d in vec.digits)
-        if vec.digits:
-            assert vec.digits[-1] != 0  # canonical: no trailing zero digit
+        digits = base_digits(value, base)
+        assert sum(d * base**i for i, d in enumerate(digits)) == value
+        assert all(0 <= d < base for d in digits)
+        if digits:
+            assert digits[-1] != 0  # canonical: no trailing zero digit
 
     def test_zero_is_empty(self):
-        assert DigitVector(0).digits == ()
+        assert base_digits(0) == ()
 
     def test_digit_sum(self):
-        assert DigitVector(255).digit_sum() == 8
+        assert sum(base_digits(255)) == 8
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            DigitVector(-3)
+            base_digits(-3)
         with pytest.raises(ValueError):
-            DigitVector(3, 1)
+            base_digits(3, 1)
 
 
 class TestIsPrime:

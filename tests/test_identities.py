@@ -76,7 +76,7 @@ class TestDigitalExpansion:
         for m in range(1 << 10):
             t = digital_expansion(m)
             sigma = sum_of_digits(m)
-            assert len(t) == 1 << sigma
+            assert len(t.terms) == 1 << sigma
             assert all(a + b == sigma for _, a, b in t.terms)
             ks = [k for k, _, _ in t.terms]
             assert sorted(m - k for k in ks) == ks  # complement is an involution
@@ -366,7 +366,7 @@ class TestPascalMod:
     def test_structural_invariants(self):
         for p in (2, 3, 5):
             tri = pascal_mod(40, p)
-            assert tri.rows == 40
+            assert len(tri.cells) == 40
             for n in range(40):
                 row = tri.row(n)
                 assert len(row) == n + 1

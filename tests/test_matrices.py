@@ -60,7 +60,7 @@ class TestBuildRecursive:
         for arg in (X, Y, ZERO, X + Y):
             m = build_recursive(0, arg)
             assert m.size == 1
-            assert m.entry(0, 0) == ONE
+            assert m.to_poly_matrix().entry(0, 0) == ONE
 
     def test_order_three_bottom_row_exponents(self):
         m = build_recursive(3, X)
@@ -75,14 +75,15 @@ class TestBuildClosedForm:
     def test_non_submask_entry_is_zero(self):
         for n in (3, 4, 5):
             m = build_closed_form(n, X)
-            assert m.exponent(5, 2) is None  # 2 is no submask of 5
-            assert m.entry(5, 2) == ZERO
+            assert 2 not in dict(m.rows[5])  # 2 is no submask of 5
+            assert m.to_poly_matrix().entry(5, 2) == ZERO
 
     def test_diagonal_is_one(self):
         m = build_closed_form(4, X)
+        grid = m.to_poly_matrix()
         for j in range(16):
-            assert m.exponent(j, j) == 0
-            assert m.entry(j, j) == ONE
+            assert dict(m.rows[j])[j] == 0
+            assert grid.entry(j, j) == ONE
 
     def test_row_five(self):
         m = build_closed_form(3, X)
@@ -149,7 +150,7 @@ class TestMatMul:
         for n in range(5):
             for x, y in ((X, Y), (X, -X), (ONE, ZERO), (X + Y, X - Y)):
                 a, b = build_recursive(n, x), build_closed_form(n, y)
-                expected = dense_product(a, b)
+                expected = dense_product(a.to_poly_matrix(), b.to_poly_matrix())
                 assert matmul(a, b) == expected
                 assert matmul(a.to_poly_matrix(), b) == expected
                 assert matmul(a, b.to_poly_matrix()) == expected
@@ -248,6 +249,26 @@ class TestPackedRows:
                 want = tuple((k, sum_of_digits(j - k)) for k in range(j + 1) if k & j == k)
                 assert m.rows[j] == want, (n, j)
         assert list(m.rows) == [m.rows[j] for j in range(m.size)]
+
+    @pytest.mark.parametrize("build", [build_recursive, build_closed_form])
+    def test_marked_rows_match_pair_rows(self, build):
+        for n in range(11):
+            m = build(n, X)
+            marked = []
+
+            def mark(e):
+                marked.append(e)
+                return e + 1
+
+            rows = list(m.marked_rows(mark))
+            assert len(rows) == m.size
+            for j, row in enumerate(rows):
+                want = bytearray(j + 1)
+                for k, e in m.rows[j]:
+                    want[k] = e + 1
+                assert row == want, (n, j)
+            # once per distinct exponent 0..n, not once per stored entry
+            assert sorted(marked) == list(range(n + 1))
 
     def test_pair_constructor_packs_like_the_builders(self):
         m = build_recursive(6, X)
