@@ -285,8 +285,8 @@ def verify_classical_reduction(n: int) -> bool:
 def verify_group_law(order: int) -> Report:
     """Check S_n(X) S_n(Y) == S_n(X+Y) and S_n(X) S_n(-X) == I with exact products.
 
-    Both products are the schoolbook matmul, which assumes nothing about the
-    group law; the sides they are compared with come from
+    Both products are matmul, which sums over every k and assumes nothing
+    about the group law; the sides they are compared with come from
     build_recursive(n, X+Y) and the identity matrix.
     """
     x = build_recursive(order, X)

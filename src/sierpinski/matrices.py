@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 import sys
 from collections import Counter
+from itertools import chain
 
 from .algebra import ONE, Poly
 from .digits import carry_free_summands
@@ -56,6 +57,18 @@ def _check_build_order(n: int) -> None:
         )
 
 
+def _check_row_count(order: int, rows: list) -> list:
+    if len(rows) != 1 << order:
+        raise ValueError(f"expected {1 << order} rows, got {len(rows)}")
+    return rows
+
+
+def _check_columns(j: int, columns) -> None:
+    """Refuse columns of row j that are not ints within [0, j]; any order."""
+    if set(map(type, columns)) - {int} or columns and not 0 <= min(columns) <= max(columns) <= j:
+        raise ValueError(f"row {j} has a column above the diagonal, below 0 or not an int")
+
+
 def _pack_columns(columns: list[int]) -> bytes:
     return struct.pack(f"{len(columns)}H", *columns)
 
@@ -78,12 +91,18 @@ class MonomialMatrix:
     __slots__ = ("order", "argument", "cols", "exps")
 
     def __init__(self, order: int, argument: Poly, rows):
-        """Pack rows of (column, exponent) pairs, sorted by column."""
-        rows = [tuple(row) for row in rows]
+        """Pack rows of (column, exponent) pairs; row j's columns must ascend within [0, j]."""
+        _check_build_order(order)
+        rows = _check_row_count(order, [tuple(row) for row in rows])
+        for j, row in enumerate(rows):
+            columns = [k for k, _ in row]
+            _check_columns(j, columns)
+            if columns != sorted(set(columns)):
+                raise ValueError(f"row {j} has columns repeated or out of order")
         self.order = order
         self.argument = argument
         self.cols = tuple(_pack_columns([k for k, _ in row]) for row in rows)
-        self.exps = tuple(bytes([e for _, e in row]) for row in rows)
+        self.exps = tuple(bytes([e for _, e in row]) for row in rows)  # ValueError outside 0..255
 
     @classmethod
     def _packed(cls, order: int, argument: Poly, cols, exps) -> "MonomialMatrix":
@@ -165,16 +184,15 @@ class PolyMatrix:
     __slots__ = ("order", "_rows")
 
     def __init__(self, order: int, rows):
+        """Rows map column -> Poly, row j's columns within [0, j]; zero entries are dropped."""
         if order < 0:
             raise ValueError(f"order must be non-negative, got {order}")
-        rows = list(rows)
-        if len(rows) != 1 << order:
-            raise ValueError(f"expected {1 << order} rows, got {len(rows)}")
         clean = []
-        for j, row in enumerate(rows):
-            if any(k > j for k in row):
-                raise ValueError(f"row {j} has support above the diagonal")
-            clean.append({k: p for k, p in sorted(row.items()) if p})
+        for j, row in enumerate(_check_row_count(order, list(rows))):
+            _check_columns(j, row)
+            if set(map(type, row.values())) - {Poly}:
+                raise ValueError(f"row {j} has an entry that is not a Poly")
+            clean.append({k: row[k] for k in sorted(row) if row[k]})
         self.order = order
         self._rows = tuple(clean)
 
@@ -254,25 +272,45 @@ def _promote(m: MonomialMatrix | PolyMatrix) -> PolyMatrix:
 
 
 def _keyed(m: MonomialMatrix | PolyMatrix):
-    """(column, key) rows and a key -> Poly lookup; a key is an exponent or an interned entry."""
+    """(column, key) rows and a key -> Poly dict; a key is an exponent or an interned entry."""
     if isinstance(m, MonomialMatrix):
         return list(m.rows), m._powers()
     keys: dict[Poly, int] = {}
     rows = [[(k, keys.setdefault(p, len(keys))) for k, p in row.items()] for row in m._rows]
-    return rows, list(keys)
+    return rows, dict(enumerate(keys))
+
+
+def _decode(code: int, w: int, d: int) -> Poly:
+    """Invert X -> 2^w, Y -> 2^(w*d) on a code whose fields are signed w-bit ints."""
+    terms, half, i = {}, 1 << (w - 1), 0
+    while code:
+        c = (code + half & (1 << w) - 1) - half  # low field, sign-folded into [-half, half)
+        if c:
+            terms[i % d, i // d] = c
+        code = (code - c) >> w
+        i += 1
+    return Poly._raw(terms)
 
 
 def matmul(a, b) -> PolyMatrix:
     """Exact product of two equal-order lower-triangular matrices.
 
     Entry (j, l) is the definitional sum over k of a[j][k] * b[k][l].  Its
-    terms are only grouped by multiplicity: row j tallies (l, key of
-    a[j][k], key of b[k][l]) over every k, each distinct key pair is
-    multiplied out once, and its terms enter entry l times their count.
+    terms are only grouped by multiplicity: row j tallies (key of a[j][k],
+    key of b[k][l], l) over every k, each distinct key pair is multiplied
+    out once with Poly.__mul__, and the product enters entry l times its
+    count as one Kronecker-coded int: X -> 2^w, Y -> 2^(w*d).
+
+    The coding changes how a polynomial is stored, not what is summed, and
+    it is exact: an output X-degree is at most the operands' largest
+    X-degrees added, so below d, and an output coefficient sums at most
+    2^order products, each at most the largest coefficient 1-norm of a's
+    entries times b's.  w bits hold that bound with a sign, so every field
+    decodes to its coefficient.
 
     Independence: nothing here assumes the group law.  Every k is visited
-    and tallied, so S_n(x) S_n(y) is still the schoolbook sum, and the side
-    it is compared with comes from build_recursive(n, X+Y) and (X+Y)**e.
+    and tallied, so S_n(x) S_n(y) is still the sum over k, and the side it
+    is compared with comes from build_recursive(n, X+Y) and (X+Y)**e.
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
@@ -283,20 +321,33 @@ def matmul(a, b) -> PolyMatrix:
         )
     rows_a, values_a = _keyed(a)
     rows_b, values_b = _keyed(b)
-    products: dict[tuple, dict] = {}
+    both = (values_a.values(), values_b.values())
+    deg = [max((x for p in v for x, _ in p._terms), default=0) for v in both]
+    norm = [max((sum(map(abs, p._terms.values())) for p in v), default=0) for v in both]
+    d, w = 1 + deg[0] + deg[1], (norm[0] * norm[1] << a.order).bit_length() + 1
+    size = a.size
+    coded_b = [[kb * size + l for l, kb in row] for row in rows_b]  # (kb, l) as one int
+    products: dict[int, dict[int, int]] = {ka: {} for ka in values_a}  # ka -> kb -> code
+    decoded: dict[int, Poly] = {}
     rows = []
     for row in rows_a:
-        tally = Counter((l, ka, kb) for k, ka in row for l, kb in rows_b[k])
-        acc: dict[int, dict] = {}
-        for (l, ka, kb), count in tally.items():
-            terms = products.get((ka, kb))
-            if terms is None:
-                terms = products[ka, kb] = (values_a[ka] * values_b[kb]).terms
-            out = acc.setdefault(l, {})
-            for e, c in terms.items():
-                out[e] = out.get(e, 0) + count * c
-        # an entry that cancels, as in S_n(x) S_n(-x), is dropped by PolyMatrix
-        rows.append({l: Poly._raw({e: c for e, c in t.items() if c}) for l, t in acc.items()})
+        by_ka: dict[int, list] = {}
+        for k, ka in row:
+            by_ka.setdefault(ka, []).append(coded_b[k])
+        acc: dict[int, int] = {}
+        for ka, lists in by_ka.items():
+            codes = products[ka]
+            for key, count in Counter(chain.from_iterable(lists)).items():
+                kb, l = divmod(key, size)
+                code = codes.get(kb)
+                if code is None:
+                    terms = (values_a[ka] * values_b[kb])._terms
+                    code = codes[kb] = sum(c << w * (x + d * y) for (x, y), c in terms.items())
+                acc[l] = acc.get(l, 0) + count * code
+        for code in set(acc.values()) - decoded.keys():
+            decoded[code] = _decode(code, w, d)
+        # an entry that cancels, as in S_n(x) S_n(-x), is dropped
+        rows.append({l: decoded[code] for l, code in acc.items() if code})
     return PolyMatrix(a.order, rows)
 
 

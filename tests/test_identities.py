@@ -24,7 +24,13 @@ from sierpinski.identities import (
     verify_range,
     verify_triangle_matrix_correspondence,
 )
-from sierpinski.matrices import MonomialMatrix, build_closed_form, matmul
+from sierpinski.matrices import (
+    MAX_MUL_ORDER,
+    MonomialMatrix,
+    build_closed_form,
+    build_recursive,
+    matmul,
+)
 
 
 def brute_force_expansion(m):
@@ -351,6 +357,23 @@ class TestVerifyGroupLaw:
     def test_multiplication_limit(self):
         with pytest.raises(SizeLimitError, match="multiplication limit"):
             verify_group_law(11)
+
+    def test_passes_at_the_product_cap(self):
+        # verify group --order 10 is the largest order the CLI accepts
+        assert verify_group_law(MAX_MUL_ORDER)
+
+    def test_one_corrupted_exponent_fails_at_the_product_cap(self, monkeypatch):
+        def build(n, arg):
+            m = build_recursive(n, arg)
+            if arg != X:
+                return m
+            rows = [list(row) for row in m.rows]
+            k, e = rows[777][3]
+            rows[777][3] = (k, e + 1)
+            return MonomialMatrix(n, arg, rows)
+
+        monkeypatch.setattr(identities, "build_recursive", build)
+        assert not verify_group_law(MAX_MUL_ORDER)
 
 
 class TestPascalMod:

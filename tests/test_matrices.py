@@ -167,6 +167,46 @@ class TestMatMul:
         assert matrices_equal(prod, build_recursive(2, X + Y))
         assert prod.nonzero_count() == 9
 
+    def test_coded_tally_against_dense_oracle(self):
+        # operands meant to break the X -> 2^w, Y -> 2^(w*d) coding
+        rng = random.Random(5)
+        big = 2**64 + 1
+        wide = [-big * X**2 * Y, (2**70 - 3) * X - Y**3, -(X**4), 7 * Y - 2**65, big * Y**2]
+        signs = PolyMatrix(3, [{k: rng.choice(wide) for k in range(j + 1)} for j in range(8)])
+        # X-degrees 4 and 3 meet in the output as X^7 = X^(d-1), beside Y terms
+        deg_a = PolyMatrix(2, [{k: X**4 - Y for k in range(j + 1)} for j in range(4)])
+        deg_b = PolyMatrix(2, [{k: X**3 + 2 * Y**2 for k in range(j + 1)} for j in range(4)])
+        assert (7, 0) in dense_product(deg_a, deg_b).entry(3, 0).terms
+
+        def noise():
+            terms = {(rng.randrange(4), rng.randrange(3)): rng.randrange(-9, 10) for _ in range(3)}
+            return Poly(terms)
+
+        distinct = PolyMatrix(4, [{k: noise() for k in range(j + 1)} for j in range(16)])
+        assert distinct.nonzero_count() > 100
+        zero = PolyMatrix(3, [{}] * 8)
+        s3 = build_recursive(3, X - Y).to_poly_matrix()
+        s4 = build_recursive(4, X + Y).to_poly_matrix()
+        pairs = [(signs, signs), (signs, s3), (deg_a, deg_b), (deg_b, deg_a), (distinct, distinct),
+                 (distinct, s4), (s4, distinct), (zero, s3), (s3, zero), (zero, zero)]
+        for a, b in pairs:
+            assert matmul(a, b) == dense_product(a, b)
+        assert matmul(zero, s3) == zero
+
+    def test_coded_tally_at_the_coefficient_bound(self):
+        # an all-c lower triangle times an all-e one puts 2^order * c * e at (last, 0),
+        # the bound w is sized for; one bit less and that entry decodes wrong
+        for c, e in ((ONE, ONE), (-3 * ONE, -5 * ONE), (3 * ONE, -5 * ONE)):
+            a = PolyMatrix(4, [{k: c for k in range(j + 1)} for j in range(16)])
+            b = PolyMatrix(4, [{k: e for k in range(j + 1)} for j in range(16)])
+            prod = matmul(a, b)
+            assert prod == dense_product(a, b)
+            assert prod.entry(15, 0) == 16 * c * e
+        # 1 + X has 1-norm 2: its products pile 2 * 2^order onto X
+        a = PolyMatrix(4, [{k: 1 + X for k in range(j + 1)} for j in range(16)])
+        assert matmul(a, a) == dense_product(a, a)
+        assert matmul(a, a).entry(15, 0).terms[1, 0] == 32
+
     def test_group_law_small_orders(self):
         for n in range(6):
             prod = matmul(build_recursive(n, X), build_recursive(n, Y))
@@ -275,6 +315,32 @@ class TestPackedRows:
         again = MonomialMatrix(6, X, m.rows)
         assert (again.cols, again.exps) == (m.cols, m.exps)
 
+    def test_pair_constructor_refuses_wrong_row_count(self):
+        with pytest.raises(ValueError, match="expected 4 rows, got 1"):
+            MonomialMatrix(2, X, [[(0, 0)]])
+
+    def test_pair_constructor_refuses_column_outside_the_row(self):
+        # columns index the Kronecker-coded keys kb * size + l, so l < size must hold
+        for row in ([(0, 1), (1, 0), (5, 0)], [(-1, 1), (1, 0)], [(0, 1), (70000, 0)], [(0.0, 1)]):
+            with pytest.raises(ValueError, match="row 1 has a column above the diagonal"):
+                MonomialMatrix(1, X, [[(0, 0)], row])
+
+    def test_pair_constructor_refuses_columns_out_of_order(self):
+        for row in ([(1, 0), (0, 1)], [(0, 1), (0, 1)]):
+            with pytest.raises(ValueError, match="repeated or out of order"):
+                MonomialMatrix(1, X, [[(0, 0)], row])
+
+    def test_pair_constructor_refuses_exponent_outside_a_byte(self):
+        for e in (256, -1):
+            with pytest.raises(ValueError, match="range\\(0, 256\\)"):
+                MonomialMatrix(1, X, [[(0, 0)], [(0, e), (1, 0)]])
+
+    def test_pair_constructor_refuses_order_outside_the_build_cap(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            MonomialMatrix(-1, X, [])
+        with pytest.raises(SizeLimitError):
+            MonomialMatrix(MAX_BUILD_ORDER + 1, X, [])
+
     @pytest.mark.parametrize("field", ["cols", "exps"])
     def test_one_corrupted_byte_fails_equality_and_group_law(self, monkeypatch, field):
         wrong = corrupted(build_recursive(6, X), field)
@@ -312,6 +378,15 @@ class TestPolyMatrix:
     def test_rejects_support_above_diagonal(self):
         with pytest.raises(ValueError, match="above the diagonal"):
             PolyMatrix(1, [{0: ONE, 1: X}, {0: X, 1: ONE}])
+
+    def test_rejects_column_below_zero_or_not_an_int(self):
+        for row in ({-1: X, 1: ONE}, {0.5: X}, {0: ONE, "1": X}):
+            with pytest.raises(ValueError, match="below 0 or not an int"):
+                PolyMatrix(1, [{0: ONE}, row])
+
+    def test_rejects_entry_that_is_not_a_poly(self):
+        with pytest.raises(ValueError, match="row 0 has an entry that is not a Poly"):
+            PolyMatrix(1, [{0: 1}, {0: 2, 1: 3}])
 
     def test_drops_zero_entries(self):
         m = PolyMatrix(1, [{0: ONE}, {0: ZERO, 1: ONE}])
