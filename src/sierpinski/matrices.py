@@ -57,16 +57,13 @@ def _check_build_order(n: int) -> None:
         )
 
 
-def _check_row_count(order: int, rows: list) -> list:
-    if len(rows) != 1 << order:
-        raise ValueError(f"expected {1 << order} rows, got {len(rows)}")
-    return rows
-
-
-def _check_columns(j: int, columns) -> None:
-    """Refuse columns of row j that are not ints within [0, j]; any order."""
-    if set(map(type, columns)) - {int} or columns and not 0 <= min(columns) <= max(columns) <= j:
-        raise ValueError(f"row {j} has a column above the diagonal, below 0 or not an int")
+def _check_rows(order: int, columns: list) -> None:
+    """Refuse other than 2^order rows, or columns of row j that are not ints in [0, j]."""
+    if len(columns) != 1 << order:
+        raise ValueError(f"expected {1 << order} rows, got {len(columns)}")
+    for j, cols in enumerate(columns):
+        if set(map(type, cols)) - {int} or cols and not 0 <= min(cols) <= max(cols) <= j:
+            raise ValueError(f"row {j} has a column above the diagonal, below 0 or not an int")
 
 
 def _pack_columns(columns: list[int]) -> bytes:
@@ -93,15 +90,15 @@ class MonomialMatrix:
     def __init__(self, order: int, argument: Poly, rows):
         """Pack rows of (column, exponent) pairs; row j's columns must ascend within [0, j]."""
         _check_build_order(order)
-        rows = _check_row_count(order, [tuple(row) for row in rows])
-        for j, row in enumerate(rows):
-            columns = [k for k, _ in row]
-            _check_columns(j, columns)
-            if columns != sorted(set(columns)):
+        rows = [tuple(row) for row in rows]
+        columns = [[k for k, _ in row] for row in rows]
+        _check_rows(order, columns)
+        for j, cols in enumerate(columns):
+            if cols != sorted(set(cols)):
                 raise ValueError(f"row {j} has columns repeated or out of order")
         self.order = order
         self.argument = argument
-        self.cols = tuple(_pack_columns([k for k, _ in row]) for row in rows)
+        self.cols = tuple(map(_pack_columns, columns))
         self.exps = tuple(bytes([e for _, e in row]) for row in rows)  # ValueError outside 0..255
 
     @classmethod
@@ -187,9 +184,10 @@ class PolyMatrix:
         """Rows map column -> Poly, row j's columns within [0, j]; zero entries are dropped."""
         if order < 0:
             raise ValueError(f"order must be non-negative, got {order}")
+        rows = list(rows)
+        _check_rows(order, rows)
         clean = []
-        for j, row in enumerate(_check_row_count(order, list(rows))):
-            _check_columns(j, row)
+        for j, row in enumerate(rows):
             if set(map(type, row.values())) - {Poly}:
                 raise ValueError(f"row {j} has an entry that is not a Poly")
             clean.append({k: row[k] for k in sorted(row) if row[k]})
@@ -272,7 +270,7 @@ def _promote(m: MonomialMatrix | PolyMatrix) -> PolyMatrix:
 
 
 def _keyed(m: MonomialMatrix | PolyMatrix):
-    """(column, key) rows and a key -> Poly dict; a key is an exponent or an interned entry."""
+    """(column, key) rows and a key -> Poly lookup; a key is an exponent or an interned entry."""
     if isinstance(m, MonomialMatrix):
         return list(m.rows), m._powers()
     keys: dict[Poly, int] = {}
@@ -280,16 +278,16 @@ def _keyed(m: MonomialMatrix | PolyMatrix):
     return rows, dict(enumerate(keys))
 
 
-def _decode(code: int, w: int, d: int) -> Poly:
-    """Invert X -> 2^w, Y -> 2^(w*d) on a code whose fields are signed w-bit ints."""
-    terms, half, i = {}, 1 << (w - 1), 0
-    while code:
-        c = (code + half & (1 << w) - 1) - half  # low field, sign-folded into [-half, half)
-        if c:
-            terms[i % d, i // d] = c
-        code = (code - c) >> w
-        i += 1
-    return Poly._raw(terms)
+def _decode(code: int, w: int, monos: list) -> Poly:
+    """Invert the packing: code sums c << w*i over the terms c * monos[i], c signed, w bits.
+
+    Adding 2^(w-1) to every field makes each a plain base-2^w digit, so the
+    binary string of the sum splits into the fields in one pass.
+    """
+    n, half = len(monos), 1 << (w - 1)
+    bits = format(code + half * ((1 << w * n) - 1) // ((1 << w) - 1), f"0{w * n}b")
+    fields = (int(bits[i : i + w], 2) - half for i in range(0, w * n, w))
+    return Poly._raw({m: c for m, c in zip(reversed(monos), fields) if c})
 
 
 def matmul(a, b) -> PolyMatrix:
@@ -299,14 +297,14 @@ def matmul(a, b) -> PolyMatrix:
     terms are only grouped by multiplicity: row j tallies (key of a[j][k],
     key of b[k][l], l) over every k, each distinct key pair is multiplied
     out once with Poly.__mul__, and the product enters entry l times its
-    count as one Kronecker-coded int: X -> 2^w, Y -> 2^(w*d).
+    count as one packed int: the i-th distinct monomial met in the call
+    owns the w-bit field at bit w*i.
 
-    The coding changes how a polynomial is stored, not what is summed, and
-    it is exact: an output X-degree is at most the operands' largest
-    X-degrees added, so below d, and an output coefficient sums at most
-    2^order products, each at most the largest coefficient 1-norm of a's
-    entries times b's.  w bits hold that bound with a sign, so every field
-    decodes to its coefficient.
+    The packing changes how a polynomial is stored, not what is summed, and
+    it is exact: distinct monomials own distinct fields, and an output
+    coefficient sums at most 2^order products, each at most the largest
+    coefficient 1-norm of a's entries times b's.  w bits hold that bound
+    with a sign, so every field decodes to its coefficient.
 
     Independence: nothing here assumes the group law.  Every k is visited
     and tallied, so S_n(x) S_n(y) is still the sum over k, and the side it
@@ -321,13 +319,13 @@ def matmul(a, b) -> PolyMatrix:
         )
     rows_a, values_a = _keyed(a)
     rows_b, values_b = _keyed(b)
-    both = (values_a.values(), values_b.values())
-    deg = [max((x for p in v for x, _ in p._terms), default=0) for v in both]
-    norm = [max((sum(map(abs, p._terms.values())) for p in v), default=0) for v in both]
-    d, w = 1 + deg[0] + deg[1], (norm[0] * norm[1] << a.order).bit_length() + 1
+    norm = [max((sum(map(abs, p._terms.values())) for p in v.values()), default=0)
+            for v in (values_a, values_b)]
+    w = (norm[0] * norm[1] << a.order).bit_length() + 1
     size = a.size
     coded_b = [[kb * size + l for l, kb in row] for row in rows_b]  # (kb, l) as one int
     products: dict[int, dict[int, int]] = {ka: {} for ka in values_a}  # ka -> kb -> code
+    mono, monos = {}, []  # monomial -> field index, and index -> monomial as of the last decode
     decoded: dict[int, Poly] = {}
     rows = []
     for row in rows_a:
@@ -342,10 +340,13 @@ def matmul(a, b) -> PolyMatrix:
                 code = codes.get(kb)
                 if code is None:
                     terms = (values_a[ka] * values_b[kb])._terms
-                    code = codes[kb] = sum(c << w * (x + d * y) for (x, y), c in terms.items())
+                    code = codes[kb] = sum(c << w * mono.setdefault(m, len(mono))
+                                           for m, c in terms.items())
                 acc[l] = acc.get(l, 0) + count * code
+        if len(monos) < len(mono):
+            monos = list(mono)
         for code in set(acc.values()) - decoded.keys():
-            decoded[code] = _decode(code, w, d)
+            decoded[code] = _decode(code, w, monos)
         # an entry that cancels, as in S_n(x) S_n(-x), is dropped
         rows.append({l: decoded[code] for l, code in acc.items() if code})
     return PolyMatrix(a.order, rows)

@@ -168,12 +168,12 @@ class TestMatMul:
         assert prod.nonzero_count() == 9
 
     def test_coded_tally_against_dense_oracle(self):
-        # operands meant to break the X -> 2^w, Y -> 2^(w*d) coding
+        # operands meant to break the packing of each product into one int
         rng = random.Random(5)
         big = 2**64 + 1
         wide = [-big * X**2 * Y, (2**70 - 3) * X - Y**3, -(X**4), 7 * Y - 2**65, big * Y**2]
         signs = PolyMatrix(3, [{k: rng.choice(wide) for k in range(j + 1)} for j in range(8)])
-        # X-degrees 4 and 3 meet in the output as X^7 = X^(d-1), beside Y terms
+        # X-degrees 4 and 3 meet in the output as X^7, beside Y terms
         deg_a = PolyMatrix(2, [{k: X**4 - Y for k in range(j + 1)} for j in range(4)])
         deg_b = PolyMatrix(2, [{k: X**3 + 2 * Y**2 for k in range(j + 1)} for j in range(4)])
         assert (7, 0) in dense_product(deg_a, deg_b).entry(3, 0).terms
@@ -192,6 +192,16 @@ class TestMatMul:
         for a, b in pairs:
             assert matmul(a, b) == dense_product(a, b)
         assert matmul(zero, s3) == zero
+
+    def test_coded_tally_of_sparse_high_degree_entries(self):
+        # a product packs one field per monomial that occurs, whatever its degree
+        prod = matmul(build_recursive(4, X**1000), build_recursive(4, Y**1000))
+        assert matrices_equal(prod, build_recursive(4, X**1000 + Y**1000))
+        assert matrices_equal(matmul(build_recursive(6, X**300), build_recursive(6, -(X**300))),
+                              identity(6))
+        spread = [X**900 * Y**2 - 7 * Y**700, 3 * X**5 + Y**1000, -(X**400) * Y**400]
+        a = PolyMatrix(3, [{k: spread[(j + k) % 3] for k in range(j + 1)} for j in range(8)])
+        assert matmul(a, a) == dense_product(a, a)
 
     def test_coded_tally_at_the_coefficient_bound(self):
         # an all-c lower triangle times an all-e one puts 2^order * c * e at (last, 0),
@@ -320,7 +330,7 @@ class TestPackedRows:
             MonomialMatrix(2, X, [[(0, 0)]])
 
     def test_pair_constructor_refuses_column_outside_the_row(self):
-        # columns index the Kronecker-coded keys kb * size + l, so l < size must hold
+        # columns index the tally keys kb * size + l, so l < size must hold
         for row in ([(0, 1), (1, 0), (5, 0)], [(-1, 1), (1, 0)], [(0, 1), (70000, 0)], [(0.0, 1)]):
             with pytest.raises(ValueError, match="row 1 has a column above the diagonal"):
                 MonomialMatrix(1, X, [[(0, 0)], row])
