@@ -18,9 +18,9 @@ class Poly:
     Terms live in a dict mapping the exponent pair (a, b) of X^a*Y^b to a
     nonzero integer coefficient; zero coefficients are never stored, so dict
     equality is exact polynomial equality.  Instances are immutable: every
-    operation returns a fresh Poly.  The constructor refuses coefficients
-    that are not ints (bools included) and exponents that are not
-    non-negative ints, with ValueError.
+    operation returns a fresh Poly.  The constructor and `constant` refuse
+    non-int coefficients (bools included) and exponents that are not
+    non-negative ints with ValueError; an operand not a Poly or an int raises TypeError.
     """
 
     __slots__ = ("_terms",)
@@ -46,7 +46,14 @@ class Poly:
 
     @classmethod
     def constant(cls, c: int) -> "Poly":
-        return cls._raw({(0, 0): c} if c else {})
+        return cls({(0, 0): c})
+
+    @staticmethod
+    def _operand(other):
+        """other as a Poly: an int (not a bool) becomes a constant; else NotImplemented."""
+        if type(other) is int:
+            return Poly.constant(other)
+        return other if isinstance(other, Poly) else NotImplemented
 
     @property
     def terms(self) -> dict[tuple[int, int], int]:
@@ -56,10 +63,9 @@ class Poly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        other = Poly._operand(other)
+        if other is NotImplemented:
+            return other
         return self._terms == other._terms
 
     def __hash__(self) -> int:
@@ -71,10 +77,9 @@ class Poly:
         return Poly._raw({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other) -> "Poly":
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        other = Poly._operand(other)
+        if other is NotImplemented:
+            return other
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
@@ -87,20 +92,18 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        other = Poly._operand(other)
+        if other is NotImplemented:
+            return other
         return self + (-other)
 
     def __rsub__(self, other) -> "Poly":
-        return Poly.constant(other) + (-self)
+        return (-self).__add__(other)  # NotImplemented, not a TypeError that names +
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, int):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        other = Poly._operand(other)
+        if other is NotImplemented:
+            return other
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():

@@ -1,10 +1,10 @@
 """Digit-level primitives: digit sums, carries, and carry-free decompositions.
 
-Everything here works on plain non-negative integers.  The definitional
-routines (`sum_of_digits`, `carry_free`, `carry_count`) walk the digits the
-slow honest way; the bitwise shortcuts used elsewhere (`a & b == 0`,
-`int.bit_count`) are separate paths whose agreement with the definitional
-forms is pinned by the test suite before anything else relies on them.
+Everything here works on plain non-negative integers.  `sum_of_digits` and
+`carry_count` walk the base-b digits the slow definitional way.
+`carry_free` is the one-column test `not a & b`: a first carry can only
+start in a column holding two 1s.  Its column-by-column walk lives in the
+test suite, as the oracle it is pinned against.
 """
 
 from __future__ import annotations
@@ -73,17 +73,12 @@ def sum_of_digits(value: int, base: int = 2) -> int:
 def carry_free(a: int, b: int) -> bool:
     """True iff the binary long addition of a and b produces no carry.
 
-    This is the definitional digit-walk form; `a & b == 0` is the equivalent
-    single-instruction shortcut, and the tests pin the two together.
+    A first carry can only start in a column where both a and b hold a 1,
+    so `a & b` tests every column at once.
     """
     _check_nonnegative("a", a)
     _check_nonnegative("b", b)
-    while a or b:
-        if (a & 1) + (b & 1) > 1:
-            return False
-        a >>= 1
-        b >>= 1
-    return True
+    return not a & b
 
 
 def carry_count(n: int, k: int, base: int = 2) -> int:

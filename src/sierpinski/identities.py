@@ -18,7 +18,7 @@ import sys
 from collections import namedtuple
 
 from .algebra import ONE, Poly, X, Y, binomial, p_adic_valuation
-from .digits import carry_count, carry_free, carry_free_summands, is_prime, sum_of_digits
+from .digits import _check_nonnegative, carry_count, carry_free, carry_free_summands, is_prime
 from .errors import SizeLimitError
 from .matrices import build_closed_form, build_recursive, identity, matmul, matrices_equal
 
@@ -131,8 +131,7 @@ def digital_expansion(m: int) -> TermList:
 
     Refused before anything is enumerated when s(m) > EXPONENT_CAP.
     """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
+    _check_nonnegative("m", m)
     _check_exponent_cap(m, m.bit_count())
     terms = tuple((k, k.bit_count(), (m - k).bit_count()) for k in carry_free_summands(m))
     return TermList(m, terms)
@@ -173,8 +172,7 @@ def exponent_pair_counts(m: int) -> PairCounts:
     verify_digital_binomial compares with (X+Y)^s(m).  The cost is
     O(bitlen(m) * s(m)) dict updates, not 2^s(m), for m of any size.
     """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
+    _check_nonnegative("m", m)
     states = {(0, 0, 0): 1}
     carried = [0, 0]  # k prefixes whose addition already carried, by borrow
     for i in range(m.bit_length()):
@@ -203,11 +201,10 @@ def verify_digital_binomial(m: int) -> Report:
     An m of more than MAX_M_BITS bits is refused before the walk: its
     Report could not print m.
     """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
+    _check_nonnegative("m", m)
     if m.bit_length() > MAX_M_BITS:
         raise SizeLimitError(f"m has {m.bit_length()} bits, past the cap of {MAX_M_BITS}")
-    sigma = sum_of_digits(m)
+    sigma = m.bit_count()
     _check_exponent_cap(m, sigma)
     lhs = (X + Y) ** sigma
     counts = exponent_pair_counts(m)
@@ -253,16 +250,13 @@ def verify_additivity_form(m: int) -> Report:
 
     Deliberately a full scan of [0, m], not a submask walk: this is the
     independent oracle for the summand enumerator.  Its sides share
-    nothing: s(k) comes from the table s(2q + r) = s(q) + r, blind to
-    carries, and carry_free runs the long addition, blind to digit sums.
+    nothing: carry_free looks for a column holding two 1s, using no digit
+    sums, and s(k) is a popcount, blind to carries.
     """
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    s = [0] * (m + 1)
-    for k in range(1, m + 1):
-        s[k] = s[k >> 1] + (k & 1)
+    _check_nonnegative("m", m)
+    sigma = m.bit_count()
     for k in range(m + 1):
-        if carry_free(k, m - k) != (s[k] + s[m - k] == s[m]):
+        if carry_free(k, m - k) != (k.bit_count() + (m - k).bit_count() == sigma):
             return Report("digit-sum-additivity", f"m={m}", False, cases=k + 1)
     return Report("digit-sum-additivity", f"m={m}", True, cases=m + 1)
 
@@ -371,8 +365,7 @@ def verify_triangle_matrix_correspondence(n: int) -> Report:
     neither submasks nor Lucas' theorem.  cases counts the cells of the
     lower triangle compared, up to and including the first mismatch.
     """
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
+    _check_nonnegative("order", n)
     matrix = build_closed_form(n, ONE)
     triangle = pascal_mod(matrix.size, 2)
     # 2 marks a stored entry that is not ONE: no residue mod 2 matches it

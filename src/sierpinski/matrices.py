@@ -24,7 +24,7 @@ from collections import Counter
 from itertools import chain
 
 from .algebra import ONE, Poly
-from .digits import carry_free_summands
+from .digits import _check_nonnegative, carry_free_summands
 from .errors import SizeLimitError
 
 __all__ = [
@@ -47,14 +47,15 @@ _SET_BIT = tuple(bytes(v | 1 << b for v in range(256)) for b in range(8))  # byt
 _HIGH_LANE = 1 if sys.byteorder == "little" else 0  # byte of a uint16 column with bits 8-15
 
 
-def _check_build_order(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
+def _check_build(n: int, argument) -> None:
+    _check_nonnegative("order", n)
     if n > MAX_BUILD_ORDER:
         raise SizeLimitError(
             f"order {n} exceeds the construction limit {MAX_BUILD_ORDER}: "
             f"the matrix would hold 3^{n} = {3**n} entries"
         )
+    if not isinstance(argument, Poly):
+        raise ValueError(f"the argument must be a Poly, got {argument!r}")
 
 
 def _check_rows(order: int, columns: list) -> None:
@@ -89,7 +90,7 @@ class MonomialMatrix:
 
     def __init__(self, order: int, argument: Poly, rows):
         """Pack rows of (column, exponent) pairs; row j's columns must ascend within [0, j]."""
-        _check_build_order(order)
+        _check_build(order, argument)
         rows = [tuple(row) for row in rows]
         columns = [[k for k, _ in row] for row in rows]
         _check_rows(order, columns)
@@ -182,8 +183,7 @@ class PolyMatrix:
 
     def __init__(self, order: int, rows):
         """Rows map column -> Poly, row j's columns within [0, j]; zero entries are dropped."""
-        if order < 0:
-            raise ValueError(f"order must be non-negative, got {order}")
+        _check_nonnegative("order", order)
         rows = list(rows)
         _check_rows(order, rows)
         clean = []
@@ -233,7 +233,7 @@ def build_recursive(n: int, argument: Poly) -> MonomialMatrix:
     through e -> e + 1, and the byte lane of each column holding bit t
     through v -> v | 2^(t mod 8), which adds the old size 2^t.
     """
-    _check_build_order(n)
+    _check_build(n, argument)
     cols, exps = [_pack_columns([0])], [b"\x00"]
     for t in range(n):
         lane = _HIGH_LANE if t >= 8 else 1 - _HIGH_LANE
@@ -252,7 +252,7 @@ def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
     Row j holds arg**s(j-k) at each carry-free summand k of j (ascending
     submask enumeration) and zero elsewhere; no recursion involved.
     """
-    _check_build_order(n)
+    _check_build(n, argument)
     cols, exps = [], []
     for j in range(1 << n):
         summands = carry_free_summands(j)

@@ -111,6 +111,41 @@ class TestPolyBasics:
             with pytest.raises(ValueError):
                 Poly({exponents: 1})
 
+    def test_constant_refuses_what_the_constructor_refuses(self):
+        for c in (1.5, True):
+            with pytest.raises(ValueError, match="coefficients must be ints"):
+                Poly.constant(c)
+
+    @pytest.mark.parametrize(
+        "op, apply",
+        [
+            ("+", lambda: X + True),
+            ("-", lambda: True - X),
+            ("*", lambda: X * 1.5),
+            ("-", lambda: 2.0 - X),
+        ],
+        ids=["X+True", "True-X", "X*1.5", "2.0-X"],
+    )
+    def test_operators_refuse_bool_and_float_operands(self, op, apply):
+        with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{op}:"):
+            apply()
+
+    def test_equality_with_ints_but_not_bools(self):
+        assert ONE == 1 and hash(ONE) == hash(1)
+        assert not ONE == True  # noqa: E712 -- the comparison is the point
+        assert ONE != True  # noqa: E712
+
+    @given(st.data(), st.integers(-(2**70), 2**70))
+    def test_operator_results_hold_only_ints(self, data, n):
+        polys = st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-(2**70), 2**70),
+            max_size=4,
+        ).map(Poly)
+        p, q = data.draw(polys), data.draw(polys)
+        results = [p + q, p - q, p * q, p + n, n + p, p - n, n - p, p * n, n * p, -p, p**3]
+        for result in results:
+            assert all(type(c) is int for c in result.terms.values())
+
 
 class TestSerialization:
     def test_canonical_string(self):

@@ -26,6 +26,17 @@ def digit_sum_by_division(value, base):
     return total
 
 
+def carry_free_by_columns(a, b):
+    # oracle for carry_free: binary long addition, one column at a time, stops
+    # at the first column whose two digits carry
+    while a or b:
+        if (a & 1) + (b & 1) > 1:
+            return False
+        a >>= 1
+        b >>= 1
+    return True
+
+
 def brute_force_summands(m):
     # oracle for carry_free_summands: scan the whole interval
     return [k for k in range(m + 1) if carry_free(k, m - k)]
@@ -89,6 +100,24 @@ class TestCarryFree:
     @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
     def test_equals_and_shortcut(self, a, b):
         assert carry_free(a, b) == (a & b == 0)
+
+    def test_matches_column_walk_exhaustive(self):
+        for a in range(1 << 10):
+            assert [carry_free(a, b) for b in range(1 << 10)] == [
+                carry_free_by_columns(a, b) for b in range(1 << 10)
+            ]
+
+    @given(st.integers(0, 2**300), st.integers(0, 2**300), st.integers(0, 300))
+    def test_matches_column_walk(self, a, b, i):
+        # random wide pairs nearly always share a 1; b & ~a never does, and
+        # setting bit i of it makes one shared column at most
+        for other in (b, b & ~a, (b & ~a) | (1 << i)):
+            assert carry_free(a, other) == carry_free_by_columns(a, other)
+
+    def test_rejects_negative(self):
+        for a, b in ((-1, 0), (0, -1), (-2, -2)):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                carry_free(a, b)
 
     @given(st.integers(0, 2**20))
     def test_additivity_characterization(self, m):

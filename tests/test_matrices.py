@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from sierpinski import identities
+from sierpinski import identities, matrices
 from sierpinski.algebra import ONE, X, Y, ZERO, Poly
 from sierpinski.digits import carry_free, sum_of_digits
 from sierpinski.errors import SizeLimitError
@@ -344,6 +344,19 @@ class TestPackedRows:
         for e in (256, -1):
             with pytest.raises(ValueError, match="range\\(0, 256\\)"):
                 MonomialMatrix(1, X, [[(0, 0)], [(0, e), (1, 0)]])
+
+    def test_builders_refuse_an_argument_that_is_not_a_poly(self, monkeypatch):
+        def packed(columns):
+            raise AssertionError("a row was built before the argument was checked")
+
+        monkeypatch.setattr(matrices, "_pack_columns", packed)
+        for build in (
+            lambda: build_recursive(2, 2),
+            lambda: build_closed_form(2, 2),
+            lambda: MonomialMatrix(1, 2, [[(0, 0)], [(0, 1), (1, 0)]]),
+        ):
+            with pytest.raises(ValueError, match="must be a Poly, got 2"):
+                build()
 
     def test_pair_constructor_refuses_order_outside_the_build_cap(self):
         with pytest.raises(ValueError, match="non-negative"):
