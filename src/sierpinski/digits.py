@@ -1,10 +1,10 @@
 """Digit-level primitives: digit sums, carries, and carry-free decompositions.
 
-Everything here works on plain non-negative integers.  `sum_of_digits` and
-`carry_count` walk the base-b digits the slow definitional way.
-`carry_free` is the one-column test `not a & b`: a first carry can only
-start in a column holding two 1s.  Its column-by-column walk lives in the
-test suite, as the oracle it is pinned against.
+Everything here works on plain non-negative integers.  `sum_of_digits`
+walks the base-b digits the slow definitional way.  `carry_free` is the
+one-column test `not a & b`, and `carry_count` compares k mod q > n mod q
+once per power q of the base.  Their column-by-column walks live in the
+test suite, as the oracles they are pinned against.
 """
 
 from __future__ import annotations
@@ -82,22 +82,22 @@ def carry_free(a: int, b: int) -> bool:
 
 
 def carry_count(n: int, k: int, base: int = 2) -> int:
-    """Number of carries in the base-`base` long addition of k and n-k."""
+    """Number of carries in the base-`base` long addition of k and n-k.
+
+    The low i digits (q = base^i) add to (k mod q) + ((n-k) mod q), which is
+    n mod q + q, and so carries out, exactly when k mod q > n mod q.
+    """
     _check_nonnegative("n", n)
     _check_nonnegative("k", k)
     if k > n:
         raise ValueError(f"k must not exceed n, got k={k}, n={n}")
     if not is_prime(base):
         raise ValueError(f"base must be prime, got {base}")
-    a, b = k, n - k
-    carry = 0
     count = 0
-    while a or b or carry:
-        s = a % base + b % base + carry
-        carry = 1 if s >= base else 0
-        count += carry
-        a //= base
-        b //= base
+    q = base
+    while q <= n:
+        count += k % q > n % q
+        q *= base
     return count
 
 
@@ -105,27 +105,20 @@ def carry_count_grid(n_max: int) -> tuple:
     """Binary carry counts for every pair 0 <= k <= n < n_max at once.
 
     Returns (n, k, carries) as parallel flat arrays, pairs ordered by n then
-    k.  The carries are produced by the same digit-wise long addition as
-    `carry_count`, vectorized across all pairs; the scalar routine remains
-    the reference the grid is checked against.  numpy is imported here, the
-    package's only use of it, so importing the package does not load it.
+    k, by `carry_count`'s rule in base 2: a carry leaves the low i bits
+    exactly when (k & (q-1)) > (n & (q-1)), q = 2^i.  numpy is imported
+    here, its only use in the package, so importing the package skips it.
     """
     import numpy as np
 
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    lengths = np.arange(n_max, dtype=np.int64) + 1
-    n = np.repeat(np.arange(n_max, dtype=np.uint32), lengths)
-    k = np.concatenate([np.arange(m + 1, dtype=np.uint32) for m in range(n_max)])
-    a, b = k, n - k
-    carry = np.zeros(n.shape, dtype=np.uint8)
+    n, k = (index.astype(np.uint32) for index in np.tril_indices(n_max))
     count = np.zeros(n.shape, dtype=np.uint8)
-    for i in range(int(n_max).bit_length() + 1):
-        s = ((a >> i) & 1).astype(np.uint8)
-        s += ((b >> i) & 1).astype(np.uint8)
-        s += carry
-        np.right_shift(s, 1, out=carry)  # carry iff digit sum >= 2
-        count += carry
+    q = 2
+    while q < n_max:  # every pair has n <= n_max - 1
+        count += (k & (q - 1)) > (n & (q - 1))
+        q *= 2
     return n, k, count
 
 

@@ -292,9 +292,10 @@ def verify_group_law(order: int) -> Report:
 def verify_kummer(n_max: int, p: int) -> Report:
     """Check v_p(binomial(n, k)) == carries of k + (n-k) for all n < n_max.
 
-    The binomials are grown by the additive Pascal recurrence in exact
-    integers, keeping this path independent of the multiplicative formula
-    behind binomial().
+    The sides are independent.  The carry side, `carry_count`, compares low
+    parts k mod p^i > n mod p^i, with no binomial and no digit sum, so it is
+    not Legendre's formula.  The valuation side divides exact binomials grown
+    by the additive Pascal recurrence, not by binomial()'s product formula.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

@@ -82,6 +82,11 @@ class TestPolyBasics:
         with pytest.raises(ValueError):
             X ** (-1)
 
+    def test_rejects_bool_and_float_exponents(self):
+        for exponent in (True, False, 2.0):
+            with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+                X**exponent
+
     def test_eval(self):
         assert (X**2 + 2 * X * Y + Y**2).eval(1, 1) == 4
         assert ZERO.eval(12345, -999) == 0

@@ -1,5 +1,6 @@
 """Digit primitives against definitional oracles and bitwise shortcuts."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,6 +36,21 @@ def carry_free_by_columns(a, b):
         a >>= 1
         b >>= 1
     return True
+
+
+def carry_count_by_columns(n, k, p):
+    # oracle for carry_count and carry_count_grid: base-p long addition of k
+    # and n-k, one column at a time, with the carry chained between columns
+    a, b = k, n - k
+    carry = 0
+    count = 0
+    while a or b or carry:
+        s = a % p + b % p + carry
+        carry = 1 if s >= p else 0
+        count += carry
+        a //= p
+        b //= p
+    return count
 
 
 def brute_force_summands(m):
@@ -91,15 +107,6 @@ class TestCarryFree:
 
     def test_one_plus_one_carries(self):
         assert not carry_free(1, 1)
-
-    def test_equals_and_shortcut_exhaustive_small(self):
-        for a in range(1 << 9):
-            for b in range(1 << 9):
-                assert carry_free(a, b) == (a & b == 0)
-
-    @given(st.integers(0, 2**16 - 1), st.integers(0, 2**16 - 1))
-    def test_equals_and_shortcut(self, a, b):
-        assert carry_free(a, b) == (a & b == 0)
 
     def test_matches_column_walk_exhaustive(self):
         for a in range(1 << 10):
@@ -163,6 +170,19 @@ class TestCarryCount:
         defect = sum_of_digits(k) + sum_of_digits(n - k) - sum_of_digits(n)
         assert defect == carry_count(n, k, 2)
 
+    def test_matches_column_walk_exhaustive(self):
+        # at p = 131 only the rows n >= 131 have a second digit to carry into
+        for p in (2, 3, 5, 7, 131):
+            for n in range(1 << 9):
+                assert [carry_count(n, k, p) for k in range(n + 1)] == [
+                    carry_count_by_columns(n, k, p) for k in range(n + 1)
+                ]
+
+    @given(st.integers(0, 2**200), st.sampled_from((2, 3, 5, 7)), st.data())
+    def test_matches_column_walk(self, n, p, data):
+        k = data.draw(st.integers(0, n))
+        assert carry_count(n, k, p) == carry_count_by_columns(n, k, p)
+
     def test_base_p_defect_scaling(self):
         # in base p each carry costs p-1 in the digit sum
         for p in (3, 5, 7):
@@ -176,12 +196,16 @@ class TestCarryCountGrid:
     def test_matches_scalar_exhaustive(self):
         ns, ks, counts = carry_count_grid(256)
         for n, k, c in zip(ns.tolist(), ks.tolist(), counts.tolist()):
-            assert c == carry_count(n, k, 2)
+            assert c == carry_count_by_columns(n, k, 2)
 
     def test_pair_enumeration_shape(self):
         ns, ks, counts = carry_count_grid(100)
         assert len(ns) == len(ks) == len(counts) == 100 * 101 // 2
         assert ks[-1] == 99 and ns[-1] == 99
+        assert (ns.dtype, ks.dtype, counts.dtype) == (np.uint32, np.uint32, np.uint8)
+        ns, ks, _ = carry_count_grid(4)
+        assert ns.tolist() == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+        assert ks.tolist() == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
