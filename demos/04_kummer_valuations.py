@@ -23,12 +23,10 @@ print()
 
 # mod 2 this explains the Sierpinski pattern: C(n,k) is odd exactly when
 # the addition k + (n-k) is carry-free
-triangle = pascal_mod(16, 2)
-for row in triangle.cells:
+for row in pascal_mod(16, 2):
     print("".join("1" if c else "." for c in row))
 print()
 
 # other primes draw their own fractals
-triangle = pascal_mod(27, 3)
-for row in triangle.cells:
+for row in pascal_mod(27, 3):
     print("".join(str(c) if c else "." for c in row))

@@ -133,8 +133,9 @@ def cmd_expand(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    # every suite runs before anything is printed, so a refusal leaves stdout empty
-    reports = [_SUITES[suite](args) for suite in suites]
+    # every suite runs before anything is printed, so a refusal leaves stdout empty;
+    # they run last to first, so the cheap ones refuse before the range scans
+    reports = [_SUITES[suite](args) for suite in reversed(suites)][::-1]
     print("\n\n".join(report.to_text() for report in reports), file=out)
     return 0 if all(reports) else COUNTEREXAMPLE
 
@@ -145,26 +146,24 @@ _BLANK_OR_1 = b" " + b"1" * 255
 MAX_ASCII_MOD = 7  # the largest prime whose residues are single digits
 
 
-def render_ascii(cells, modulus: int) -> str:
-    # one character per cell; at p=2 a blank stands for residue 0
+def render_ascii(cells, modulus: int):
+    """Lines of the triangle, one character a cell; at p=2 a blank stands for residue 0."""
     if modulus > MAX_ASCII_MOD:
         raise ValueError(f"ascii format needs single-character residues (mod <= {MAX_ASCII_MOD})")
     table = _BLANK_OR_1 if modulus == 2 else _DIGITS
-    return b"\n".join(bytes(row).translate(table).rstrip() for row in cells).decode("ascii")
+    return (bytes(row).translate(table).rstrip().decode("ascii") + "\n" for row in cells)
 
 
-def render_pbm(cells) -> str:
-    # P1 text raster, square: triangle rows padded right with zeros
-    width = len(cells)
-    blank = b" " * (2 * width - 1)
-    lines = [b"P1", f"{width} {width}".encode()]
+def render_pbm(cells, width: int):
+    """Lines of a P1 text raster, width x width: the triangle's rows padded right with zeros."""
+    yield f"P1\n{width} {width}\n"
+    blank = b" " * (2 * width - 1) + b"\n"
     for row in cells:
         if not isinstance(row, (bytes, bytearray)):
             row = bytes(map(bool, row))  # p >= 128 rows hold cells wider than a byte
         line = bytearray(blank)
         line[::2] = row.translate(_BITS).ljust(width, b"0")
-        lines.append(line)
-    return b"\n".join(lines).decode("ascii")
+        yield line.decode("ascii")
 
 
 def _csv_records(cells, modulus: int):
@@ -189,14 +188,15 @@ def cmd_triangle(args, out) -> int:
         raise ValueError("matrix-ones patterns are mod-2 only")
     if args.format == "ascii" and args.mod > MAX_ASCII_MOD:  # refused before the build
         raise ValueError(f"ascii format needs single-character residues (mod <= {MAX_ASCII_MOD})")
+    width = 1 << args.order if matrix_ones else args.rows  # a stream cannot report its length
     if matrix_ones:
-        cells = tuple(matrices.build_closed_form(args.order, ONE).marked_rows(lambda e: 1))
+        cells = matrices.build_closed_form(args.order, ONE).marked_rows(lambda e: 1)
     else:
-        cells = identities.pascal_mod(args.rows, args.mod).cells
+        cells = identities.pascal_mod(width, args.mod)
     if args.format == "ascii":
-        print(render_ascii(cells, args.mod), file=out)
+        out.writelines(render_ascii(cells, args.mod))
     elif args.format == "pbm":
-        print(render_pbm(cells), file=out)
+        out.writelines(render_pbm(cells, width))
     else:
         out.writelines(_csv_records(cells, args.mod))
     return 0

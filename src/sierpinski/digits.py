@@ -113,7 +113,8 @@ def carry_count_grid(n_max: int) -> tuple:
 
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    n, k = (index.astype(np.uint32) for index in np.tril_indices(n_max))
+    n = np.repeat(np.arange(n_max, dtype=np.uint32), np.arange(1, n_max + 1))
+    k = np.concatenate([np.arange(j + 1, dtype=np.uint32) for j in range(n_max)])
     count = np.zeros(n.shape, dtype=np.uint8)
     q = 2
     while q < n_max:  # every pair has n <= n_max - 1

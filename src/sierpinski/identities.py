@@ -24,7 +24,6 @@ from .matrices import build_closed_form, build_recursive, identity, matmul, matr
 
 __all__ = [
     "TermList",
-    "TriangleMod",
     "Report",
     "PairCounts",
     "EXPONENT_CAP",
@@ -67,19 +66,6 @@ class TermList:
         for _, a, b in self.terms:
             counts[(a, b)] = counts.get((a, b), 0) + 1
         return Poly(counts)
-
-
-class TriangleMod(namedtuple("TriangleMod", ["modulus", "cells"])):
-    """The first `rows` rows of Pascal's triangle reduced mod a prime.
-
-    Row n of `cells` is bytes (one byte a residue) for p < 128, else a
-    memoryview of 2-, 4- or 8-byte residues.
-    """
-
-    __slots__ = ()
-
-    def row(self, n: int) -> tuple[int, ...]:
-        return tuple(self.cells[n])
 
 
 class Report(
@@ -321,16 +307,19 @@ def verify_kummer(n_max: int, p: int) -> Report:
     return Report(identity="kummer", parameter=f"n_max={n_max} p={p}", passed=True)
 
 
-def pascal_mod(rows: int, p: int) -> TriangleMod:
-    """First `rows` rows of Pascal's triangle mod p, by the mod-p recurrence.
+def pascal_mod(rows: int, p: int):
+    """The first `rows` rows of Pascal's triangle mod p, yielded one at a time.
 
-    A row is one integer, `width` bytes a cell, cell k lowest, unpacked in
-    the host's byte order so that memoryview.cast reads its cells back.
-    Adding its shift by one field forms every C(n, k-1) + C(n, k) <= 2p - 2
-    at once; `bias` (2^(field-1) - p a field) sets a field's top bit
-    exactly where that sum reached p, and p is subtracted there.  This
-    additive rule uses neither Lucas' theorem nor the matrix family, so
-    verify_triangle_matrix_correspondence stays an independent check.
+    The arguments are checked when this is called, before any row.  Row n
+    is bytes (one byte a residue) for p < 128, else a memoryview of 2-, 4-
+    or 8-byte residues.  A row is computed as one integer, `width` bytes a
+    cell, cell k lowest, unpacked in the host's byte order so that
+    memoryview.cast reads its cells back.  Adding its shift by one field
+    forms every C(n, k-1) + C(n, k) <= 2p - 2 at once; `bias` (2^(field-1)
+    - p a field) sets a field's top bit exactly where that sum reached p,
+    and p is subtracted there.  This additive rule uses neither Lucas'
+    theorem nor the matrix family, so verify_triangle_matrix_correspondence
+    stays an independent check.
     """
     if rows < 1:
         raise ValueError(f"rows must be positive, got {rows}")
@@ -342,16 +331,16 @@ def pascal_mod(rows: int, p: int) -> TriangleMod:
     field = 8 * width
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * (rows + 1), "little")
     bias = ones * ((1 << (field - 1)) - p)
-    cells = []
-    row = 1
-    for n in range(rows):
-        data = row.to_bytes(width * (n + 1), sys.byteorder)
-        if width > 1:
-            data = memoryview(data).cast(_CELL_FORMAT[width])
-        cells.append(data[::_CELL_STEP])
-        row += row << field
-        row -= p * (((row + bias) >> (field - 1)) & ones)
-    return TriangleMod(modulus=p, cells=tuple(cells))
+
+    def recurrence():
+        row = 1
+        for n in range(rows):
+            data = row.to_bytes(width * (n + 1), sys.byteorder)
+            yield (memoryview(data).cast(_CELL_FORMAT[width]) if width > 1 else data)[::_CELL_STEP]
+            row += row << field
+            row -= p * (((row + bias) >> (field - 1)) & ones)
+
+    return recurrence()
 
 
 def verify_triangle_matrix_correspondence(n: int) -> Report:
@@ -368,11 +357,10 @@ def verify_triangle_matrix_correspondence(n: int) -> Report:
     """
     _check_nonnegative("order", n)
     matrix = build_closed_form(n, ONE)
-    triangle = pascal_mod(matrix.size, 2)
     # 2 marks a stored entry that is not ONE: no residue mod 2 matches it
     patterns = matrix.marked_rows(lambda e: 1 if matrix.argument**e == ONE else 2)
     name, parameter = "triangle-matrix-correspondence", f"order={n}"
-    for j, (pattern, residues) in enumerate(zip(patterns, triangle.cells)):
+    for j, (pattern, residues) in enumerate(zip(patterns, pascal_mod(matrix.size, 2))):
         if pattern != residues:
             k = next(k for k in range(j + 1) if pattern[k] != residues[k])
             return Report(name, parameter, False, cases=j * (j + 1) // 2 + k + 1)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import namedtuple
 
 import pytest
@@ -271,11 +272,40 @@ class TestVerify:
         "argv", [["--max-n", "2000"], ["--p", "4"], ["--order", "11"], ["--order", "13"]]
     )
     def test_all_refused_by_a_late_suite_prints_nothing(self, argv):
-        # binomial and additivity pass before kummer, group or correspondence refuses
+        # kummer, group or correspondence refuses, with the real verifiers in place
         result = run_cli("verify", "all", *argv)
         assert result.returncode == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--p", "4"], "p must be prime, got 4"),
+            (["--max-n", "2000"], "n_max = 2000 exceeds the practical limit 1024"),
+            (
+                ["--order", "11"],
+                "order 11 exceeds the multiplication limit 10: "
+                "each factor holds 3^11 = 177147 entries",
+            ),
+            (
+                ["--order", "13"],
+                "order 13 exceeds the construction limit 12: "
+                "the matrix would hold 3^13 = 1594323 entries",
+            ),
+        ],
+        ids=["kummer-p", "kummer-max-n", "group-order", "correspondence-order"],
+    )
+    def test_all_refuses_before_the_range_scans(self, monkeypatch, argv, message):
+        # the suites run last to first, so binomial and additivity never start
+        from sierpinski import identities
+
+        def never(*_):
+            raise AssertionError("a range scan ran before a later suite refused")
+
+        monkeypatch.setattr(identities, "verify_digital_binomial", never)
+        monkeypatch.setattr(identities, "verify_additivity_form", never)
+        assert run_cli("verify", "all", *argv) == (2, "", f"error: {message}\n")
 
     def test_max_m_guard_spares_other_suites(self):
         assert run_cli("verify", "kummer", "--max-m", "1000000000").returncode == 0
@@ -390,6 +420,22 @@ class TestTriangle:
             ",".join(str(math.comb(n, k) % 131) for k in range(n + 1)) for n in range(90)
         ]
 
+    @pytest.mark.parametrize(
+        "argv", [["--rows", "4096"], ["--order", "12"]], ids=["pascal-mod", "matrix-ones"]
+    )
+    def test_pbm_is_written_a_row_at_a_time(self, argv, tmp_path):
+        # the whole 4096 x 4096 raster is 33.6 MB of text; one row of it is 8 kB
+        target = tmp_path / "out.pbm"
+        tracemalloc.start()
+        try:
+            result = run_cli("triangle", *argv, "--format", "pbm", "--output", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "", "")
+        assert target.stat().st_size == len("P1\n4096 4096\n") + 4096 * 8192
+        assert peak < 8 * 1024 * 1024
+
 
 class TestCounterexampleExit:
     # every identity actually holds, so exit code 1 is reachable only by
@@ -458,8 +504,9 @@ class TestContract:
         [
             ["matrix", "9"],  # 558 kB: the write fails inside the handler
             ["verify", "binomial", "--max-m", "4"],  # fits the buffer: fails at the flush
+            ["triangle", "--rows", "4096", "--format", "pbm"],  # a streamed write fails in it
         ],
-        ids=["in-handler", "at-flush"],
+        ids=["in-handler", "at-flush", "streamed"],
     )
     def test_closed_stdout_exits_quietly(self, argv):
         # stdout is a pipe whose reader is already gone, as after `| head -1`;

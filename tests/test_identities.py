@@ -42,6 +42,11 @@ def brute_force_expansion(m):
     ]
 
 
+def triangle(rows, p):
+    """pascal_mod's stream as one tuple of ints a row."""
+    return [tuple(row) for row in pascal_mod(rows, p)]
+
+
 def pair_counts(terms):
     counts = {}
     for _, a, b in terms:
@@ -324,7 +329,7 @@ class TestVerifyKummer:
     def test_central_even_entry(self):
         # row "1 0 1" of the mod-2 triangle: C(2,1) = 2 is even
         assert binomial(2, 1) == 2
-        assert pascal_mod(3, 2).row(2) == (1, 0, 1)
+        assert triangle(3, 2)[2] == (1, 0, 1)
 
     def test_passes_small(self):
         for p in (2, 3, 5, 7):
@@ -378,20 +383,20 @@ class TestVerifyGroupLaw:
 
 class TestPascalMod:
     def test_row_four(self):
-        assert pascal_mod(8, 2).row(4) == (1, 0, 0, 0, 1)
+        assert triangle(8, 2)[4] == (1, 0, 0, 0, 1)
 
     def test_row_zero(self):
-        assert pascal_mod(1, 2).row(0) == (1,)
+        assert triangle(1, 2) == [(1,)]
 
     def test_row_seven_all_ones(self):
-        assert pascal_mod(8, 2).row(7) == (1, 1, 1, 1, 1, 1, 1, 1)
+        assert triangle(8, 2)[7] == (1, 1, 1, 1, 1, 1, 1, 1)
 
     def test_structural_invariants(self):
         for p in (2, 3, 5):
-            tri = pascal_mod(40, p)
-            assert len(tri.cells) == 40
+            tri = triangle(40, p)
+            assert len(tri) == 40
             for n in range(40):
-                row = tri.row(n)
+                row = tri[n]
                 assert len(row) == n + 1
                 assert row[0] == row[-1] == 1
                 assert all(0 <= c < p for c in row)
@@ -399,17 +404,17 @@ class TestPascalMod:
     def test_against_big_integer_binomials(self):
         # second route: reduce exact binomials, compare to the recurrence
         for p in (2, 3, 5, 7):
-            tri = pascal_mod(64, p)
+            tri = triangle(64, p)
             for n in range(64):
-                assert tri.row(n) == tuple(binomial(n, k) % p for k in range(n + 1))
+                assert tri[n] == tuple(binomial(n, k) % p for k in range(n + 1))
 
     def test_against_math_comb_mod_2_sampled(self):
         # whole rows against Lucas (C(n, k) is odd iff k is a submask of n),
         # sampled cells against math.comb, whose ~4000-bit binomials are slow
-        tri = pascal_mod(4096, 2)
+        tri = triangle(4096, 2)
         rng = random.Random(5)
         for n in [0, 1, 255, 256, 4094, 4095] + rng.sample(range(4096), 40):
-            row = tri.row(n)
+            row = tri[n]
             assert row == tuple(int(k & ~n == 0) for k in range(n + 1))
             for k in rng.choices(range(n + 1), k=32):
                 assert row[k] == math.comb(n, k) % 2
@@ -418,11 +423,12 @@ class TestPascalMod:
         # p = 127 fills a one-byte cell; 131 and 257 take two bytes, 65537
         # and 2^31 - 1 four, 4294967291 eight
         for p in (3, 5, 7, 127, 131, 257, 65537, 2**31 - 1, 4294967291):
-            tri = pascal_mod(200, p)
+            tri = triangle(200, p)
             for n in range(200):
-                assert tri.row(n) == tuple(math.comb(n, k) % p for k in range(n + 1)), (p, n)
+                assert tri[n] == tuple(math.comb(n, k) % p for k in range(n + 1)), (p, n)
 
     def test_rejects_composite_modulus(self):
+        # refused when called, before a row is asked for
         with pytest.raises(ValueError):
             pascal_mod(8, 9)
 
