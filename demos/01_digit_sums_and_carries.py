@@ -24,7 +24,7 @@ print()
 # the carry-free splits k + (m-k) = m are exactly the bit-subsets of m,
 # so m always has 2^s(m) of them
 for m in (0, 3, 5, 12, 21):
-    ks = carry_free_summands(m)
+    ks = list(carry_free_summands(m))
     print(f"m = {m:2d} ({m:05b}) splits carry-free at k = {ks}  ({len(ks)} = 2^{sum_of_digits(m)})")
 print()
 

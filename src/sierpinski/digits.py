@@ -87,9 +87,9 @@ def carry_count(n: int, k: int, base: int = 2) -> int:
     The low i digits (q = base^i) add to (k mod q) + ((n-k) mod q), which is
     n mod q + q, and so carries out, exactly when k mod q > n mod q.
     """
-    _check_nonnegative("n", n)
-    _check_nonnegative("k", k)
-    if k > n:
+    if not 0 <= k <= n:
+        _check_nonnegative("n", n)
+        _check_nonnegative("k", k)
         raise ValueError(f"k must not exceed n, got k={k}, n={n}")
     if not is_prime(base):
         raise ValueError(f"base must be prime, got {base}")
@@ -123,18 +123,16 @@ def carry_count_grid(n_max: int) -> tuple:
     return n, k, count
 
 
-def carry_free_summands(m: int) -> list[int]:
-    """All k in [0, m] with (k, m-k) carry-free, in increasing order.
+def carry_free_summands(m: int):
+    """Yield every k in [0, m] with (k, m-k) carry-free, in increasing order.
 
-    The carry-free k are exactly the bitwise submasks of m, enumerated here
-    in ascending order via the (k - m) & m step.  The brute-force scan of
-    [0, m] through `carry_free` is the oracle this is tested against.
+    They are the bitwise submasks of m, in ascending order by the (k - m) & m step; a
+    negative m raises at the first next().  Tested against a scan of [0, m] by `carry_free`.
     """
     _check_nonnegative("m", m)
-    out = []
     k = 0
     while True:
-        out.append(k)
+        yield k
         if k == m:
-            return out
+            return
         k = (k - m) & m

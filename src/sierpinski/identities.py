@@ -15,7 +15,7 @@ ingredients and compares exactly:
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .algebra import ONE, Poly, X, Y, binomial, p_adic_valuation
 from .digits import _check_nonnegative, carry_count, carry_free, carry_free_summands, is_prime
@@ -49,23 +49,24 @@ _CELL_STEP = 1 if sys.byteorder == "little" else -1  # a big-endian row holds ce
 
 
 class TermList:
-    """Exponent pairs of one digital binomial expansion, ascending in k.
+    """The terms (k, s(k), s(m-k)) of each carry-free summand k of m, ascending in k.
 
-    Each term is (k, s(k), s(m-k)) for a carry-free summand k of m.
+    Only m is stored: every read of `terms` enumerates the summands afresh.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m",)
 
-    def __init__(self, m: int, terms: tuple[tuple[int, int, int], ...]):
+    def __init__(self, m: int):
         self.m = m
-        self.terms = terms
+
+    @property
+    def terms(self):
+        m = self.m
+        return ((k, k.bit_count(), (m - k).bit_count()) for k in carry_free_summands(m))
 
     def collect(self) -> Poly:
-        """Sum of X^s(k) * Y^s(m-k) over the listed terms."""
-        counts: dict[tuple[int, int], int] = {}
-        for _, a, b in self.terms:
-            counts[(a, b)] = counts.get((a, b), 0) + 1
-        return Poly(counts)
+        """Sum of X^s(k) * Y^s(m-k) over the terms."""
+        return Poly(Counter((a, b) for _, a, b in self.terms))
 
 
 class Report(
@@ -119,8 +120,7 @@ def digital_expansion(m: int) -> TermList:
     """
     _check_nonnegative("m", m)
     _check_exponent_cap(m, m.bit_count())
-    terms = tuple((k, k.bit_count(), (m - k).bit_count()) for k in carry_free_summands(m))
-    return TermList(m, terms)
+    return TermList(m)
 
 
 # Long subtraction m - k, one binary digit at a time: for each (digit of m,

@@ -255,7 +255,7 @@ def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
     _check_build(n, argument)
     cols, exps = [], []
     for j in range(1 << n):
-        summands = carry_free_summands(j)
+        summands = list(carry_free_summands(j))
         cols.append(_pack_columns(summands))
         exps.append(bytes([(j - k).bit_count() for k in summands]))
     return MonomialMatrix._packed(n, argument, cols, exps)

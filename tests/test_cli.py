@@ -210,6 +210,21 @@ class TestExpand:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    def test_written_a_line_at_a_time(self, tmp_path):
+        # 65,536 term lines, 1.2 MB of text; a tuple of the terms alone would take ~7 MB
+        target = tmp_path / "out.txt"
+        tracemalloc.start()
+        try:
+            result = run_cli("expand", "65535", "--output", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (0, "", "")
+        lines = target.read_text().splitlines()
+        assert len(lines) == (1 << 16) + 1
+        assert lines[-1].startswith("x^16 + 16x^15y + ")
+        assert peak < 1024 * 1024
+
 
 class TestVerify:
     def test_group_order_four(self):
@@ -297,14 +312,16 @@ class TestVerify:
         ids=["kummer-p", "kummer-max-n", "group-order", "correspondence-order"],
     )
     def test_all_refuses_before_the_range_scans(self, monkeypatch, argv, message):
-        # the suites run last to first, so binomial and additivity never start
+        # kummer, group and correspondence run in that order, before the range
+        # scans; correspondence does real work at --order 11, so it runs after group
         from sierpinski import identities
 
         def never(*_):
-            raise AssertionError("a range scan ran before a later suite refused")
+            raise AssertionError("a suite did work before a cheaper suite refused")
 
         monkeypatch.setattr(identities, "verify_digital_binomial", never)
         monkeypatch.setattr(identities, "verify_additivity_form", never)
+        monkeypatch.setattr(identities, "verify_triangle_matrix_correspondence", never)
         assert run_cli("verify", "all", *argv) == (2, "", f"error: {message}\n")
 
     def test_max_m_guard_spares_other_suites(self):
@@ -505,8 +522,9 @@ class TestContract:
             ["matrix", "9"],  # 558 kB: the write fails inside the handler
             ["verify", "binomial", "--max-m", "4"],  # fits the buffer: fails at the flush
             ["triangle", "--rows", "4096", "--format", "pbm"],  # a streamed write fails in it
+            ["expand", "131071"],  # 2.6 MB of term lines, written as they are enumerated
         ],
-        ids=["in-handler", "at-flush", "streamed"],
+        ids=["in-handler", "at-flush", "streamed", "streamed-expand"],
     )
     def test_closed_stdout_exits_quietly(self, argv):
         # stdout is a pipe whose reader is already gone, as after `| head -1`;

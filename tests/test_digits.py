@@ -214,22 +214,26 @@ class TestCarryCountGrid:
 
 class TestCarryFreeSummands:
     def test_five(self):
-        assert carry_free_summands(5) == [0, 1, 4, 5]
+        assert list(carry_free_summands(5)) == [0, 1, 4, 5]
         assert brute_force_summands(5) == [0, 1, 4, 5]
 
     def test_zero(self):
-        assert carry_free_summands(0) == [0]
+        assert list(carry_free_summands(0)) == [0]
 
     def test_three_lists_all_four(self):
-        assert carry_free_summands(3) == [0, 1, 2, 3]
+        assert list(carry_free_summands(3)) == [0, 1, 2, 3]
+
+    def test_negative_raises_at_first_next(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            next(carry_free_summands(-1))
 
     def test_against_brute_force(self):
         for m in range(512):
-            assert carry_free_summands(m) == brute_force_summands(m)
+            assert list(carry_free_summands(m)) == brute_force_summands(m)
 
     def test_structure_exhaustive(self):
         for m in range(1 << 12):
-            ks = carry_free_summands(m)
+            ks = list(carry_free_summands(m))
             assert len(ks) == 1 << sum_of_digits(m)
             assert ks == sorted(ks)
             assert all(k & m == k for k in ks)  # submasks of m
