@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from collections import namedtuple
 
 import pytest
@@ -452,6 +453,14 @@ class TestTriangle:
         assert result == (0, "", "")
         assert target.stat().st_size == len("P1\n4096 4096\n") + 4096 * 8192
         assert peak < 8 * 1024 * 1024
+
+
+class TestRenderPbm:
+    def test_cells_keep_their_order(self):
+        # every row the CLI can feed render_pbm is a palindrome; these two are not
+        wide = memoryview(array("H", [0, 300, 65535]).tobytes()).cast("H")
+        lines = list(cli.render_pbm([b"\x02\x00", wide], 3))
+        assert lines == ["P1\n3 3\n", "1 0 0\n", "0 1 1\n"]
 
 
 class TestCounterexampleExit:

@@ -336,6 +336,15 @@ class TestVerifyKummer:
             report = verify_kummer(64, p)
             assert report.passed, report.to_text()
 
+    def test_wrong_valuation_is_the_first_mismatch(self, monkeypatch):
+        # a valuation one too high at binomial 6 = C(4, 2) only: cell (4, 2) fails
+        real = identities.p_adic_valuation
+        monkeypatch.setattr(identities, "p_adic_valuation", lambda c, p: real(c, p) + (c == 6))
+        report = verify_kummer(8, 2)
+        assert not report.passed
+        assert (report.lhs, report.rhs) == ("valuation 2", "carries 1")
+        assert report.first_mismatch == "n=4 k=2 binomial=6"
+
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             verify_kummer(16, 6)
