@@ -128,7 +128,7 @@ def cmd_matrix(args, out) -> int:
 def cmd_expand(args, out) -> int:
     expansion = identities.digital_expansion(args.m)
     out.writelines(f"{k} {a} {b}\n" for k, a, b in expansion.terms)
-    print(expansion.collect().pretty(), file=out)
+    print(Poly(identities.exponent_pair_counts(args.m)).pretty(), file=out)
     return 0
 
 

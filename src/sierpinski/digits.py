@@ -2,9 +2,9 @@
 
 Everything here works on plain non-negative integers.  `sum_of_digits`
 walks the base-b digits the slow definitional way.  `carry_free` is the
-one-column test `not a & b`, and `carry_count` compares k mod q > n mod q
-once per power q of the base.  Their column-by-column walks live in the
-test suite, as the oracles they are pinned against.
+one-column test `not a & b`; `carry_count`, and `carry_rows` for a whole row
+of k at once, compare k mod q > n mod q once per power q of the base.  Their
+column walks live in the test suite, as the oracles they are pinned against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ __all__ = [
     "sum_of_digits",
     "carry_free",
     "carry_count",
-    "carry_count_grid",
+    "carry_rows",
     "carry_free_summands",
     "is_prime",
 ]
@@ -101,26 +101,30 @@ def carry_count(n: int, k: int, base: int = 2) -> int:
     return count
 
 
-def carry_count_grid(n_max: int) -> tuple:
-    """Binary carry counts for every pair 0 <= k <= n < n_max at once.
+def carry_rows(n_max: int, base: int = 2):
+    """Yield rows n < n_max as bytes, byte k = carry_count(n, k, base); checked at the call.
 
-    Returns (n, k, carries) as parallel flat arrays, pairs ordered by n then
-    k, by `carry_count`'s rule in base 2: a carry leaves the low i bits
-    exactly when (k & (q-1)) > (n & (q-1)), q = 2^i.  numpy is imported
-    here, its only use in the package, so importing the package skips it.
+    `carry_count`'s rule for every k at once: for each power q <= n of the
+    base, with r = n mod q, the k past the first r + 1 of each block of q
+    carry, so the row adds bytes(r + 1) + b"\x01" * (q - 1 - r), repeated and
+    cut to n + 1 bytes.  A lane gains one per power at most, so it stays below 256.
     """
-    import numpy as np
-
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    n = np.repeat(np.arange(n_max, dtype=np.uint32), np.arange(1, n_max + 1))
-    k = np.concatenate([np.arange(j + 1, dtype=np.uint32) for j in range(n_max)])
-    count = np.zeros(n.shape, dtype=np.uint8)
-    q = 2
-    while q < n_max:  # every pair has n <= n_max - 1
-        count += (k & (q - 1)) > (n & (q - 1))
-        q *= 2
-    return n, k, count
+    if not is_prime(base):
+        raise ValueError(f"base must be prime, got {base}")
+
+    def rows():
+        for n in range(n_max):
+            count, q = 0, base
+            while q <= n:
+                r = n % q
+                block = bytes(r + 1) + b"\x01" * (q - 1 - r)
+                count += int.from_bytes((block * (n // q + 1))[: n + 1], "little")
+                q *= base
+            yield count.to_bytes(n + 1, "little")
+
+    return rows()
 
 
 def carry_free_summands(m: int):

@@ -18,7 +18,7 @@ import sys
 from collections import Counter, namedtuple
 
 from .algebra import ONE, Poly, X, Y, binomial, p_adic_valuation
-from .digits import _check_nonnegative, carry_count, carry_free, carry_free_summands, is_prime
+from .digits import _check_nonnegative, carry_free, carry_free_summands, carry_rows, is_prime
 from .errors import SizeLimitError
 from .matrices import build_closed_form, build_recursive, identity, matmul, matrices_equal
 
@@ -267,44 +267,40 @@ def verify_group_law(order: int) -> Report:
 
     Both products are matmul, which sums over every k and assumes nothing
     about the group law; the sides they are compared with come from
-    build_recursive(n, X+Y) and the identity matrix.
+    build_recursive(n, X+Y) and the identity matrix.  cases counts the
+    lower-triangle cells of the two products, size * (size + 1).
     """
     x = build_recursive(order, X)
     same = matrices_equal(matmul(x, build_recursive(order, Y)), build_recursive(order, X + Y))
     inverse = matrices_equal(matmul(x, build_recursive(order, -X)), identity(order))
-    return Report("group-law", f"order={order}", same and inverse)
+    return Report("group-law", f"order={order}", same and inverse, cases=x.size * (x.size + 1))
 
 
 def verify_kummer(n_max: int, p: int) -> Report:
     """Check v_p(binomial(n, k)) == carries of k + (n-k) for all n < n_max.
 
-    The sides are independent.  The carry side, `carry_count`, compares low
-    parts k mod p^i > n mod p^i, with no binomial and no digit sum, so it is
-    not Legendre's formula.  The valuation side divides exact binomials grown
-    by the additive Pascal recurrence, not by binomial()'s product formula.
+    The sides are independent.  The carry side, `carry_rows`, adds per power
+    q = p^i a repeated block that marks the k with k mod q > n mod q: the
+    low-part rule, with no binomial and no digit sum, so it is not
+    Legendre's formula.  The valuation side divides exact binomials grown by
+    the additive Pascal recurrence, not by binomial()'s product formula.
+    cases counts the cells compared, up to and including the first mismatch.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
     if n_max > MAX_KUMMER_ROWS:
         raise SizeLimitError(f"n_max = {n_max} exceeds the practical limit {MAX_KUMMER_ROWS}")
+    name, parameter = "kummer", f"n_max={n_max} p={p}"
     row = [1]
-    for n in range(n_max):
-        for k, coeff in enumerate(row):
-            val = p_adic_valuation(coeff, p)
-            carries = carry_count(n, k, p)
-            if val != carries:
-                return Report(
-                    identity="kummer",
-                    parameter=f"n_max={n_max} p={p}",
-                    passed=False,
-                    lhs=f"valuation {val}",
-                    rhs=f"carries {carries}",
-                    first_mismatch=f"n={n} k={k} binomial={coeff}",
-                )
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return Report(identity="kummer", parameter=f"n_max={n_max} p={p}", passed=True)
+    for n, carries in enumerate(carry_rows(n_max, p)):
+        valuations = [p_adic_valuation(coeff, p) for coeff in row]
+        if valuations != list(carries):
+            k = next(k for k in range(n + 1) if valuations[k] != carries[k])
+            lhs, rhs = f"valuation {valuations[k]}", f"carries {carries[k]}"
+            cases = n * (n + 1) // 2 + k + 1
+            return Report(name, parameter, False, lhs, rhs, f"n={n} k={k} binomial={row[k]}", cases)
+        row = [1] + [row[i] + row[i + 1] for i in range(n)] + [1]
+    return Report(name, parameter, True, cases=n_max * (n_max + 1) // 2)
 
 
 def pascal_mod(rows: int, p: int):

@@ -13,8 +13,8 @@ from sierpinski.algebra import ONE, X, Y, binomial, p_adic_valuation
 from sierpinski.cli import render_ascii
 from sierpinski.digits import (
     carry_count,
-    carry_count_grid,
     carry_free,
+    carry_rows,
     sum_of_digits,
 )
 from sierpinski.identities import (
@@ -121,7 +121,9 @@ def test_criterion_5_kummer():
 
 def test_criterion_6_digit_sum_defect():
     with Clock() as clock:
-        ns, ks, carries = carry_count_grid(4096)
+        carries = np.frombuffer(b"".join(carry_rows(4096)), np.uint8)
+        ns = np.repeat(np.arange(4096, dtype=np.uint32), np.arange(1, 4097))
+        ks = np.concatenate([np.arange(j + 1, dtype=np.uint32) for j in range(4096)])
         defect = np.bitwise_count(ks).astype(np.int16)
         defect += np.bitwise_count(ns - ks)
         defect -= np.bitwise_count(ns)

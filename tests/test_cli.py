@@ -519,6 +519,20 @@ class TestContract:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "\n"
 
+    def test_runs_on_the_standard_library_alone(self):
+        # numpy is only a test extra: with its import blocked every verifier still runs
+        code = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "import sierpinski\n"
+            "from sierpinski import cli\n"
+            "assert len(list(sierpinski.carry_rows(64, 3))) == 64\n"
+            "assert sierpinski.verify_kummer(64, 3)\n"
+            "sys.exit(cli.main(['verify', 'all']))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.count("status: pass") == 5
+
     def test_deterministic_output(self):
         first = run_cli_process("matrix", "5", "--arg", "x")
         second = run_cli_process("matrix", "5", "--arg", "x")

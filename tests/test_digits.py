@@ -1,6 +1,5 @@
 """Digit primitives against definitional oracles and bitwise shortcuts."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,9 +8,9 @@ from sierpinski.digits import (
     PRIME_LIMIT,
     base_digits,
     carry_count,
-    carry_count_grid,
     carry_free,
     carry_free_summands,
+    carry_rows,
     is_prime,
     sum_of_digits,
 )
@@ -39,7 +38,7 @@ def carry_free_by_columns(a, b):
 
 
 def carry_count_by_columns(n, k, p):
-    # oracle for carry_count and carry_count_grid: base-p long addition of k
+    # oracle for carry_count and carry_rows: base-p long addition of k
     # and n-k, one column at a time, with the carry chained between columns
     a, b = k, n - k
     carry = 0
@@ -192,24 +191,23 @@ class TestCarryCount:
                     assert defect == (p - 1) * carry_count(n, k, p)
 
 
-class TestCarryCountGrid:
-    def test_matches_scalar_exhaustive(self):
-        ns, ks, counts = carry_count_grid(256)
-        for n, k, c in zip(ns.tolist(), ks.tolist(), counts.tolist()):
-            assert c == carry_count_by_columns(n, k, 2)
+class TestCarryRows:
+    def test_matches_column_walk_exhaustive(self):
+        # at p = 131 only the rows n >= 131 have a second digit to carry into
+        for p, n_max in ((2, 256), (3, 128), (5, 128), (7, 128), (131, 140)):
+            for n, row in enumerate(carry_rows(n_max, p)):
+                assert list(row) == [carry_count_by_columns(n, k, p) for k in range(n + 1)]
 
-    def test_pair_enumeration_shape(self):
-        ns, ks, counts = carry_count_grid(100)
-        assert len(ns) == len(ks) == len(counts) == 100 * 101 // 2
-        assert ks[-1] == 99 and ns[-1] == 99
-        assert (ns.dtype, ks.dtype, counts.dtype) == (np.uint32, np.uint32, np.uint8)
-        ns, ks, _ = carry_count_grid(4)
-        assert ns.tolist() == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
-        assert ks.tolist() == [0, 0, 1, 0, 1, 2, 0, 1, 2, 3]
+    def test_row_n_has_n_plus_one_bytes(self):
+        rows = list(carry_rows(100))
+        assert len(rows) == 100
+        assert all(type(row) is bytes and len(row) == n + 1 for n, row in enumerate(rows))
+        assert rows[:4] == [b"\x00", b"\x00\x00", b"\x00\x01\x00", b"\x00\x00\x00\x00"]
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            carry_count_grid(0)
+    def test_refused_at_the_call(self):
+        for n_max, base in ((0, 2), (-1, 3), (4, 4), (4, 1)):
+            with pytest.raises(ValueError):
+                carry_rows(n_max, base)
 
 
 class TestCarryFreeSummands:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sierpinski import identities
 from sierpinski.algebra import X, Y, binomial
-from sierpinski.digits import carry_free, sum_of_digits
+from sierpinski.digits import carry_free, carry_rows, sum_of_digits
 from sierpinski.errors import SizeLimitError
 from sierpinski.identities import (
     Report,
@@ -344,6 +344,24 @@ class TestVerifyKummer:
         assert not report.passed
         assert (report.lhs, report.rhs) == ("valuation 2", "carries 1")
         assert report.first_mismatch == "n=4 k=2 binomial=6"
+        assert report.cases == 4 * 5 // 2 + 3  # rows 0-3, then cells (4, 0) to (4, 2)
+
+    def test_wrong_carry_is_the_first_mismatch(self, monkeypatch):
+        # lane 2 of row 4 one too high: the same cell fails, from the carry side
+        def rows(n_max, p):
+            for n, row in enumerate(carry_rows(n_max, p)):
+                yield row[:2] + bytes([row[2] + 1]) + row[3:] if n == 4 else row
+
+        monkeypatch.setattr(identities, "carry_rows", rows)
+        report = verify_kummer(8, 2)
+        assert not report.passed
+        assert (report.lhs, report.rhs) == ("valuation 1", "carries 2")
+        assert report.first_mismatch == "n=4 k=2 binomial=6"
+        assert report.cases == 13
+
+    def test_cases_count_every_cell(self):
+        assert verify_kummer(8, 3).cases == 36 == 8 * 9 // 2
+        assert verify_kummer(1, 2).cases == 1
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -362,6 +380,12 @@ class TestVerifyGroupLaw:
         assert verify_group_law(2).to_text() == (
             "identity: group-law\nparameter: order=2\nstatus: pass"
         )
+
+    def test_cases_count_the_cells_of_both_products(self):
+        for order in range(4):
+            size = 1 << order
+            assert verify_group_law(order).cases == size * (size + 1)
+        assert verify_group_law(2).cases == 20
 
     def test_wrong_product_fails(self, monkeypatch):
         # S_n(X) S_n(X) = S_n(2X) is not S_n(X+Y)

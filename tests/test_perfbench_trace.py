@@ -33,13 +33,14 @@ def test_every_traced_attribute_resolves(monkeypatch):
     try:
         # the group law reaches build_recursive and matmul through identities
         assert identities.verify_group_law(1)
-        # the Kummer check reaches carry_count through identities, once per cell
         assert identities.verify_kummer(8, 3)
+        # the additivity scan reaches carry_free through identities, once per pair
+        assert identities.verify_additivity_form(8)
     finally:
         tracer.remove()
     # S_1 built for X, Y, X+Y and -X, S_1(X) shared by both products: four builds of 3^1 entries
     assert tracer.counts["matrices.build_recursive.entries"] == 4 * 3
     assert tracer.counts["matrices.matmul.poly_products"] > 0
     assert tracer.counts["identities.verify_kummer.cells"] == 36 == 8 * 9 // 2
-    assert tracer.counts["digits.carry_count.calls"] == 36
+    assert tracer.counts["digits.carry_free.calls"] == 9
     assert [_resolve(module, path) for module, path in targets] == originals
