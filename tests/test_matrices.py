@@ -125,6 +125,60 @@ class TestConstructionEquivalence:
     def test_mixed_representations(self):
         assert matrices_equal(build_recursive(3, X), build_recursive(3, X).to_poly_matrix())
 
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("arg", [X, ONE, ZERO])
+    def test_top_orders_pack_the_same_bytes(self, n, arg):
+        # the per-entry submask oracle stops at n = 10; above it the two
+        # independent builders pin each other byte for byte
+        a, b = build_recursive(n, arg), build_closed_form(n, arg)
+        assert (a.cols, a.exps) == (b.cols, b.exps)
+
+
+MINUS_ONE = Poly.constant(-1)
+
+
+class TestMatricesEqualAcrossRepresentations:
+    @pytest.mark.parametrize("arg", [ZERO, ONE, MINUS_ONE, X])
+    def test_monomial_and_poly_matrix_in_both_orders(self, arg):
+        for n in range(5):
+            m = build_closed_form(n, arg)
+            p = build_recursive(n, arg).to_poly_matrix()
+            assert matrices_equal(m, p) and matrices_equal(p, m)
+
+    @pytest.mark.parametrize("arg", [ZERO, ONE, MINUS_ONE])
+    def test_different_exponents_equal_entries_across_representations(self, arg):
+        # 0^1 == 0^2, 1^1 == 1^2, (-1)^1 == (-1)^3: other exponents, same entries
+        m = MonomialMatrix(1, arg, [[(0, 0)], [(0, 1), (1, 0)]])
+        p = MonomialMatrix(1, arg, [[(0, 0)], [(0, 1 if arg == ZERO else 3), (1, 0)]]).to_poly_matrix()
+        assert matrices_equal(m, p) and matrices_equal(p, m)
+
+    def test_x_exponents_differ_across_representations(self):
+        m = MonomialMatrix(1, X, [[(0, 0)], [(0, 1), (1, 0)]])
+        p = MonomialMatrix(1, X, [[(0, 0)], [(0, 2), (1, 0)]]).to_poly_matrix()
+        assert not matrices_equal(m, p) and not matrices_equal(p, m)
+
+    def test_different_orders_differ_across_representations(self):
+        for a, b in ((build_recursive(2, X), build_recursive(3, X).to_poly_matrix()),
+                     (build_recursive(2, X).to_poly_matrix(), build_recursive(3, X)),
+                     (identity(2), identity(3))):
+            assert not matrices_equal(a, b) and not matrices_equal(b, a)
+
+    def test_product_with_one_entry_replaced_differs(self):
+        lhs = matmul(build_recursive(4, X), build_recursive(4, Y))
+        rhs = build_recursive(4, X + Y)
+        assert matrices_equal(lhs, rhs) and matrices_equal(rhs, lhs)
+        rows = [lhs.row(j) for j in range(lhs.size)]
+        rows[13][9] = rows[13][9] + X  # (X+Y)^1 -> 2X + Y at a submask column
+        wrong = PolyMatrix(4, rows)
+        assert not matrices_equal(wrong, rhs) and not matrices_equal(rhs, wrong)
+
+    def test_entry_where_the_monomial_matrix_stores_none_differs(self):
+        m = build_recursive(3, X)
+        rows = [m.to_poly_matrix().row(j) for j in range(m.size)]
+        rows[6][1] = X  # 1 is no submask of 6 = 0b110
+        extra = PolyMatrix(3, rows)
+        assert not matrices_equal(m, extra) and not matrices_equal(extra, m)
+
     def test_family_at_one_is_binary_family(self):
         # S_n(1): entries are 0/1 with 1 exactly at submask positions
         m = build_closed_form(5, ONE).to_poly_matrix()

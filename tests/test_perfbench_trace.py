@@ -1,14 +1,17 @@
-"""The benchmark's tracer must still find every function it wraps.
+"""The benchmark's tracer and output checks must still accept the package.
 
 ``perfbench/tracing.py`` rebinds the package functions named in its SPANS
 and COUNTED tables; a renamed or removed function would only show up as a
-failed ``perfbench/run.py --trace 1``.  This test reads perfbench/ and
-edits nothing in it.
+failed ``perfbench/run.py --trace 1``.  ``perfbench/workloads.py`` checks
+every op's output against plain-integer invariants; a wrong result would
+only show up as a benchmark run with failed ops.  These tests read
+perfbench/ and edit nothing in it.
 """
 
 import importlib
 from pathlib import Path
 
+import sierpinski
 from sierpinski import identities
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,3 +47,25 @@ def test_every_traced_attribute_resolves(monkeypatch):
     assert tracer.counts["identities.verify_kummer.cells"] == 36 == 8 * 9 // 2
     assert tracer.counts["digits.carry_free.calls"] == 9
     assert [_resolve(module, path) for module, path in targets] == originals
+
+
+def test_workload_output_checks_accept_the_package(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+
+    group = workloads.MatrixGroup(7, 0, 1)
+    group.setup(sierpinski)
+    for kind in ("build", "group", "inverse"):
+        for n in range(8):
+            group.check((kind, n), group.run((kind, n)))
+
+    workloads.BinomialSweep(7, 0, 1).setup(sierpinski)  # checks both verify paths
+
+    session = workloads.CliSession(7, 0, 1)
+    for op in (
+        workloads.CliOp("matrix", ["matrix", "6", "--construction", "closed"],
+                        workloads.check_matrix(6, "x", "compact")),
+        workloads.CliOp("triangle", ["triangle", "--order", "7", "--source", "matrix-ones", "--format", "pbm"],
+                        workloads.check_triangle(1 << 7, 2, "pbm")),
+    ):
+        session.check(op, session.replay(op)[1])
