@@ -63,6 +63,8 @@ class Poly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
+        if type(other) is Poly:
+            return self._terms == other._terms
         other = Poly._operand(other)
         if other is NotImplemented:
             return other

@@ -11,20 +11,22 @@ The two constructors are deliberately disjoint code paths:
 * ``build_recursive`` unfolds S_{n+1}(x) = S_1(x) (x) S_n(x), the Kronecker
   recurrence, block by block;
 * ``build_closed_form`` fills row j from the closed form: entry (j, k) is
-  arg**s(j-k) exactly when k is a carry-free summand (submask) of j.
+  arg**s(j-k) exactly when k is a carry-free summand (submask) of j, every
+  column and exponent of the row computed at once from j alone.
 
 Their agreement over all orders is one of the package's core checks.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 import sys
 from collections import Counter
 from itertools import chain
 
 from .algebra import ONE, Poly
-from .digits import _check_nonnegative, carry_free_summands
+from .digits import _check_nonnegative
 from .errors import SizeLimitError
 
 __all__ = [
@@ -45,6 +47,7 @@ MAX_MUL_ORDER = 10
 _INC = bytes((e + 1) & 0xFF for e in range(256))  # exponent e -> e + 1
 _SET_BIT = tuple(bytes(v | 1 << b for v in range(256)) for b in range(8))  # byte v -> v | 2^b
 _HIGH_LANE = 1 if sys.byteorder == "little" else 0  # byte of a uint16 column with bits 8-15
+_POPCOUNT = bytes(v.bit_count() for v in range(256))
 
 
 def _check_build(n: int, argument) -> None:
@@ -97,8 +100,7 @@ class MonomialMatrix:
         for j, cols in enumerate(columns):
             if cols != sorted(set(cols)):
                 raise ValueError(f"row {j} has columns repeated or out of order")
-        self.order = order
-        self.argument = argument
+        self.order, self.argument = order, argument
         self.cols = tuple(map(_pack_columns, columns))
         self.exps = tuple(bytes([e for _, e in row]) for row in rows)  # ValueError outside 0..255
 
@@ -124,11 +126,7 @@ class MonomialMatrix:
         return {e: self.argument**e for e in set(b"".join(self.exps))}
 
     def to_poly_matrix(self) -> "PolyMatrix":
-        powers = self._powers()  # a zero power is dropped by PolyMatrix
-        return PolyMatrix(
-            self.order,
-            ({k: powers[e] for k, e in _pairs(c, x)} for c, x in zip(self.cols, self.exps)),
-        )
+        return PolyMatrix._raw(self.order, _entry_rows(self))
 
     def grid(self, render=str, sep: str = "\t"):
         """Lines of the full square grid, render run once per exponent; zero is "0"."""
@@ -191,8 +189,14 @@ class PolyMatrix:
             if set(map(type, row.values())) - {Poly}:
                 raise ValueError(f"row {j} has an entry that is not a Poly")
             clean.append({k: row[k] for k in sorted(row) if row[k]})
-        self.order = order
-        self._rows = tuple(clean)
+        self.order, self._rows = order, tuple(clean)
+
+    @classmethod
+    def _raw(cls, order: int, rows) -> "PolyMatrix":
+        # internal: rows already canonical (columns ascending within [0, j], no zero entry)
+        m = cls.__new__(cls)
+        m.order, m._rows = order, tuple(rows)
+        return m
 
     @property
     def size(self) -> int:
@@ -247,17 +251,33 @@ def build_recursive(n: int, argument: Poly) -> MonomialMatrix:
 
 
 def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
-    """S_n(argument) directly from the entry formula.
+    """S_n(argument) directly from the entry formula, a whole row at a time.
 
-    Row j holds arg**s(j-k) at each carry-free summand k of j (ascending
-    submask enumeration) and zero elsewhere; no recursion involved.
+    Row j holds arg**s(j-k) at each carry-free summand (submask) k of j and
+    zero elsewhere, as one integer of 2^s(j) uint16 lanes: with b_0 < ...
+    the bits of j, lane r is the sum of counter_i * 2^b_i, where lane r of
+    counter_i is bit i of r, so the columns ascend with r.  The exponents
+    are the lane popcounts of j*ones - lanes; no lane borrows, as each is a
+    submask of j.  Row j comes from j alone, with no other row and no
+    Kronecker step, so its agreement with build_recursive stays independent.
     """
     _check_build(n, argument)
+    one = (1).to_bytes(2, "little")
+    # by s = s(j): counter_i over 2^s lanes for each i < s, and 2^s lanes of ones
+    counters = [[int.from_bytes((bytes(2 << i) + one * (1 << i)) * (1 << s >> i + 1), "little")
+                 for i in range(s)] for s in range(n + 1)]
+    ones = [int.from_bytes(one * (1 << s), "little") for s in range(n + 1)]
     cols, exps = [], []
     for j in range(1 << n):
-        summands = list(carry_free_summands(j))
-        cols.append(_pack_columns(summands))
-        exps.append(bytes([(j - k).bit_count() for k in summands]))
+        bits = [b for b in range(n) if j >> b & 1]
+        s = len(bits)
+        lanes = sum(map(operator.lshift, counters[s], bits))
+        raw = lanes.to_bytes(2 << s, "little")  # columns go in the host byte order
+        cols.append(raw if _HIGH_LANE else struct.pack(f">{1 << s}H", *struct.unpack(f"<{1 << s}H", raw)))
+        rest = (j * ones[s] - lanes).to_bytes(2 << s, "little")  # j - k in every lane
+        low = int.from_bytes(rest[0::2].translate(_POPCOUNT), "little")
+        high = int.from_bytes(rest[1::2].translate(_POPCOUNT), "little")
+        exps.append((low + high).to_bytes(1 << s, "little"))
     return MonomialMatrix._packed(n, argument, cols, exps)
 
 
@@ -265,14 +285,18 @@ def identity(order: int) -> PolyMatrix:
     return PolyMatrix(order, [{j: ONE} for j in range(1 << order)])
 
 
-def _promote(m: MonomialMatrix | PolyMatrix) -> PolyMatrix:
-    return m.to_poly_matrix() if isinstance(m, MonomialMatrix) else m
+def _entry_rows(m: MonomialMatrix | PolyMatrix):
+    """Row j as {column: Poly} with ascending columns and no zero entry, for either form."""
+    if isinstance(m, PolyMatrix):
+        return iter(m._rows)
+    powers = {e: p for e, p in m._powers().items() if p}  # 0**e is dropped, as PolyMatrix does
+    return ({k: powers[e] for k, e in _pairs(c, x) if e in powers} for c, x in zip(m.cols, m.exps))
 
 
 def _keyed(m: MonomialMatrix | PolyMatrix):
-    """(column, key) rows and a key -> Poly lookup; a key is an exponent or an interned entry."""
+    """(column, key) rows, read once, and a key -> Poly lookup; a key is an exponent or an entry."""
     if isinstance(m, MonomialMatrix):
-        return list(m.rows), m._powers()
+        return map(_pairs, m.cols, m.exps), m._powers()
     keys: dict[Poly, int] = {}
     rows = [[(k, keys.setdefault(p, len(keys))) for k, p in row.items()] for row in m._rows]
     return rows, dict(enumerate(keys))
@@ -317,8 +341,7 @@ def matmul(a, b) -> PolyMatrix:
             f"order {a.order} exceeds the multiplication limit {MAX_MUL_ORDER}: "
             f"each factor holds 3^{a.order} = {3**a.order} entries"
         )
-    rows_a, values_a = _keyed(a)
-    rows_b, values_b = _keyed(b)
+    (rows_a, values_a), (rows_b, values_b) = _keyed(a), _keyed(b)
     norm = [max((sum(map(abs, p._terms.values())) for p in v.values()), default=0)
             for v in (values_a, values_b)]
     w = (norm[0] * norm[1] << a.order).bit_length() + 1
@@ -347,9 +370,9 @@ def matmul(a, b) -> PolyMatrix:
             monos = list(mono)
         for code in set(acc.values()) - decoded.keys():
             decoded[code] = _decode(code, w, monos)
-        # an entry that cancels, as in S_n(x) S_n(-x), is dropped
-        rows.append({l: decoded[code] for l, code in acc.items() if code})
-    return PolyMatrix(a.order, rows)
+        # an entry that cancels, as in S_n(x) S_n(-x), is dropped; every l is a column of b
+        rows.append({l: decoded[acc[l]] for l in sorted(acc) if acc[l]})
+    return PolyMatrix._raw(a.order, rows)
 
 
 def matrices_equal(a, b) -> bool:
@@ -357,11 +380,12 @@ def matrices_equal(a, b) -> bool:
 
     Two MonomialMatrix objects with the same order, argument and packed
     rows are equal without expansion: the rows compare as bytes.  Anything
-    else is expanded, since different exponents can still give equal
-    entries (arguments 0, 1, -1).
+    else is compared one expanded row at a time, up to the first row that
+    differs, since different exponents can still give equal entries
+    (arguments 0, 1, -1).
     """
     if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix) and (
         (a.order, a.argument, a.cols, a.exps) == (b.order, b.argument, b.cols, b.exps)
     ):
         return True
-    return _promote(a) == _promote(b)
+    return a.order == b.order and all(map(operator.eq, _entry_rows(a), _entry_rows(b)))

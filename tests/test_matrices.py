@@ -1,5 +1,6 @@
 """Matrix family: two constructions and exact products."""
 
+import array
 import random
 import tracemalloc
 
@@ -133,6 +134,14 @@ class TestConstructionEquivalence:
         a, b = build_recursive(n, arg), build_closed_form(n, arg)
         assert (a.cols, a.exps) == (b.cols, b.exps)
 
+    def test_family_at_one_is_binary_family(self):
+        # S_n(1): entries are 0/1 with 1 exactly at submask positions
+        m = build_closed_form(5, ONE).to_poly_matrix()
+        for j in range(32):
+            for k in range(32):
+                expected = ONE if (k & j == k and k <= j) else ZERO
+                assert m.entry(j, k) == expected
+
 
 MINUS_ONE = Poly.constant(-1)
 
@@ -178,14 +187,6 @@ class TestMatricesEqualAcrossRepresentations:
         rows[6][1] = X  # 1 is no submask of 6 = 0b110
         extra = PolyMatrix(3, rows)
         assert not matrices_equal(m, extra) and not matrices_equal(extra, m)
-
-    def test_family_at_one_is_binary_family(self):
-        # S_n(1): entries are 0/1 with 1 exactly at submask positions
-        m = build_closed_form(5, ONE).to_poly_matrix()
-        for j in range(32):
-            for k in range(32):
-                expected = ONE if (k & j == k and k <= j) else ZERO
-                assert m.entry(j, k) == expected
 
 
 class TestMatMul:
@@ -442,6 +443,18 @@ class TestPackedRows:
             tracemalloc.stop()
         assert matrices_equal(a, b)
         assert peak < 12 * 2**20
+
+    def test_builders_agree_in_the_other_byte_order(self, monkeypatch):
+        # a host of the other byte order stores every uint16 column byte-swapped
+        here = build_recursive(10, X)
+        monkeypatch.setattr(matrices, "_HIGH_LANE", 1 - matrices._HIGH_LANE)
+        for build in (build_recursive, build_closed_form):
+            other = build(10, X)
+            assert other.exps == here.exps
+            for cols, want in zip(other.cols, here.cols):
+                swapped = array.array("H", cols)
+                swapped.byteswap()
+                assert swapped.tobytes() == want
 
     def test_entries_fit_their_fields(self):
         # columns are uint16 and exponents one byte each

@@ -65,7 +65,8 @@ def test_workload_output_checks_accept_the_package(monkeypatch):
     for op in (
         workloads.CliOp("matrix", ["matrix", "6", "--construction", "closed"],
                         workloads.check_matrix(6, "x", "compact")),
-        workloads.CliOp("triangle", ["triangle", "--order", "7", "--source", "matrix-ones", "--format", "pbm"],
+        workloads.CliOp("triangle",
+                        ["triangle", "--order", "7", "--source", "matrix-ones", "--format", "pbm"],
                         workloads.check_triangle(1 << 7, 2, "pbm")),
     ):
         session.check(op, session.replay(op)[1])
