@@ -100,7 +100,8 @@ class MonomialMatrix:
         for j, cols in enumerate(columns):
             if cols != sorted(set(cols)):
                 raise ValueError(f"row {j} has columns repeated or out of order")
-        self.order, self.argument = order, argument
+        self.order = order
+        self.argument = argument
         self.cols = tuple(map(_pack_columns, columns))
         self.exps = tuple(bytes([e for _, e in row]) for row in rows)  # ValueError outside 0..255
 
@@ -262,18 +263,17 @@ def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
     Kronecker step, so its agreement with build_recursive stays independent.
     """
     _check_build(n, argument)
-    one = (1).to_bytes(2, "little")
     # by s = s(j): counter_i over 2^s lanes for each i < s, and 2^s lanes of ones
-    counters = [[int.from_bytes((bytes(2 << i) + one * (1 << i)) * (1 << s >> i + 1), "little")
-                 for i in range(s)] for s in range(n + 1)]
-    ones = [int.from_bytes(one * (1 << s), "little") for s in range(n + 1)]
+    counters = [[int.from_bytes((bytes(2 << i) + b"\x01\x00" * (1 << i)) * (1 << s >> i + 1),
+                                "little") for i in range(s)] for s in range(n + 1)]
+    ones = [int.from_bytes(b"\x01\x00" * (1 << s), "little") for s in range(n + 1)]
     cols, exps = [], []
     for j in range(1 << n):
         bits = [b for b in range(n) if j >> b & 1]
         s = len(bits)
         lanes = sum(map(operator.lshift, counters[s], bits))
-        raw = lanes.to_bytes(2 << s, "little")  # columns go in the host byte order
-        cols.append(raw if _HIGH_LANE else struct.pack(f">{1 << s}H", *struct.unpack(f"<{1 << s}H", raw)))
+        raw = lanes.to_bytes(2 << s, "little")  # uint16 columns, swapped on a big-endian host
+        cols.append(raw if _HIGH_LANE else bytes(raw[i ^ 1] for i in range(2 << s)))
         rest = (j * ones[s] - lanes).to_bytes(2 << s, "little")  # j - k in every lane
         low = int.from_bytes(rest[0::2].translate(_POPCOUNT), "little")
         high = int.from_bytes(rest[1::2].translate(_POPCOUNT), "little")
@@ -294,7 +294,7 @@ def _entry_rows(m: MonomialMatrix | PolyMatrix):
 
 
 def _keyed(m: MonomialMatrix | PolyMatrix):
-    """(column, key) rows, read once, and a key -> Poly lookup; a key is an exponent or an entry."""
+    """(column, key) rows and a key -> Poly lookup; a key is an exponent or an interned entry."""
     if isinstance(m, MonomialMatrix):
         return map(_pairs, m.cols, m.exps), m._powers()
     keys: dict[Poly, int] = {}
@@ -341,7 +341,8 @@ def matmul(a, b) -> PolyMatrix:
             f"order {a.order} exceeds the multiplication limit {MAX_MUL_ORDER}: "
             f"each factor holds 3^{a.order} = {3**a.order} entries"
         )
-    (rows_a, values_a), (rows_b, values_b) = _keyed(a), _keyed(b)
+    rows_a, values_a = _keyed(a)
+    rows_b, values_b = _keyed(b)
     norm = [max((sum(map(abs, p._terms.values())) for p in v.values()), default=0)
             for v in (values_a, values_b)]
     w = (norm[0] * norm[1] << a.order).bit_length() + 1
