@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, namedtuple
+from operator import not_
 
-from .algebra import ONE, Poly, X, Y, binomial, p_adic_valuation
+from .algebra import ONE, Poly, X, Y, binomial
 from .digits import _check_nonnegative, carry_free, carry_free_summands, carry_rows, is_prime
 from .errors import SizeLimitError
 from .matrices import build_closed_form, build_recursive, identity, matmul, matrices_equal
@@ -257,9 +258,7 @@ def verify_classical_reduction(n: int) -> bool:
         raise ValueError(f"n must be positive, got {n}")
     _check_exponent_cap(f"2^{n}-1", n)
     counts = exponent_pair_counts((1 << n) - 1)
-    if set(counts) != {(k, n - k) for k in range(n + 1)}:
-        return False
-    return all(counts[(k, n - k)] == binomial(n, k) for k in range(n + 1))
+    return counts == {(k, n - k): binomial(n, k) for k in range(n + 1)}
 
 
 def verify_group_law(order: int) -> Report:
@@ -279,43 +278,41 @@ def verify_group_law(order: int) -> Report:
 def verify_kummer(n_max: int, p: int) -> Report:
     """Check v_p(binomial(n, k)) == carries of k + (n-k) for all n < n_max.
 
-    The sides are independent.  The carry side, `carry_rows`, adds per power
-    q = p^i a repeated block that marks the k with k mod q > n mod q: the
-    low-part rule, with no binomial and no digit sum, so it is not
-    Legendre's formula.  The valuation side divides exact binomials grown by
-    the additive Pascal recurrence, not by binomial()'s product formula.
-    cases counts the cells compared, up to and including the first mismatch.
+    The carry side, `carry_rows`, marks per power q = p^i the k with k mod q
+    > n mod q: no binomial, no digit sum.  The valuation side counts the e in
+    1..depth with _pascal_rows(n_max, p^e) at 0, which is min(v_p, depth).
+    n has at most depth base-p digits, and a carry out of the top one would
+    add a digit, so long addition alone keeps the carries below depth: a
+    binomial that p^depth divides fails.  Neither side uses Lucas',
+    Legendre's or Kummer's theorem.  cases counts the cells compared, up to
+    and including the first mismatch.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n_max > MAX_KUMMER_ROWS:
         raise SizeLimitError(f"n_max = {n_max} exceeds the practical limit {MAX_KUMMER_ROWS}")
     name, parameter = "kummer", f"n_max={n_max} p={p}"
-    row = [1]
-    for n, carries in enumerate(carry_rows(n_max, p)):
-        valuations = [p_adic_valuation(coeff, p) for coeff in row]
-        if valuations != list(carries):
+    # n_max - 1 has depth base-p digits, at least 1: p^depth < 1024 * p < 2^42 fits 8-byte lanes
+    depth = next(d for d in range(1, MAX_KUMMER_ROWS) if p**d >= n_max)
+    residues = zip(*(_pascal_rows(n_max, p**e) for e in range(1, depth + 1)))
+    for n, (carries, rows) in enumerate(zip(carry_rows(n_max, p), residues)):
+        zeros = sum(int.from_bytes(bytes(map(not_, row)), "little") for row in rows)
+        valuations = zeros.to_bytes(n + 1, "little")  # byte k: how many p^e divide C(n, k)
+        if valuations != carries:
             k = next(k for k in range(n + 1) if valuations[k] != carries[k])
             lhs, rhs = f"valuation {valuations[k]}", f"carries {carries[k]}"
-            cases = n * (n + 1) // 2 + k + 1
-            return Report(name, parameter, False, lhs, rhs, f"n={n} k={k} binomial={row[k]}", cases)
-        row = [1] + [row[i] + row[i + 1] for i in range(n)] + [1]
+            mismatch, cases = f"n={n} k={k} binomial={binomial(n, k)}", n * (n + 1) // 2 + k + 1
+            return Report(name, parameter, False, lhs, rhs, mismatch, cases)
     return Report(name, parameter, True, cases=n_max * (n_max + 1) // 2)
 
 
 def pascal_mod(rows: int, p: int):
     """The first `rows` rows of Pascal's triangle mod p, yielded one at a time.
 
-    The arguments are checked when this is called, before any row.  Row n
-    is bytes (one byte a residue) for p < 128, else a memoryview of 2-, 4-
-    or 8-byte residues.  A row is computed as one integer, `width` bytes a
-    cell, cell k lowest, unpacked in the host's byte order so that
-    memoryview.cast reads its cells back.  Adding its shift by one field
-    forms every C(n, k-1) + C(n, k) <= 2p - 2 at once; `bias` (2^(field-1)
-    - p a field) sets a field's top bit exactly where that sum reached p,
-    and p is subtracted there.  This additive rule uses neither Lucas'
-    theorem nor the matrix family, so verify_triangle_matrix_correspondence
-    stays an independent check.
+    The arguments are checked when this is called, before any row.  The rows
+    come from _pascal_rows, whose additive rule uses neither Lucas' theorem
+    nor the matrix family, so verify_triangle_matrix_correspondence stays an
+    independent check.
     """
     if rows < 1:
         raise ValueError(f"rows must be positive, got {rows}")
@@ -323,20 +320,30 @@ def pascal_mod(rows: int, p: int):
         raise SizeLimitError(f"rows = {rows} exceeds the limit {MAX_PASCAL_ROWS}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    width = next(w for w in (1, 2, 4, 8) if 8 * w > p.bit_length())  # one byte for p < 128
+    return _pascal_rows(rows, p)
+
+
+def _pascal_rows(rows: int, modulus: int):
+    """Yield rows 0..rows-1 of Pascal's triangle mod any modulus from 2 to 2^63 - 1.
+
+    Row n is bytes (one byte a residue) for a modulus below 128, else a
+    memoryview of 2-, 4- or 8-byte residues.  A row is computed as one
+    integer, `width` bytes a cell, cell k lowest, unpacked in the host's
+    byte order so that memoryview.cast reads its cells back.  Adding its
+    shift by one field forms every C(n, k-1) + C(n, k) <= 2 * modulus - 2 at
+    once; `bias` (2^(field-1) - modulus a field) sets a field's top bit
+    exactly where that sum reached the modulus, which is subtracted there.
+    """
+    width = next(w for w in (1, 2, 4, 8) if 8 * w > modulus.bit_length())  # one byte below 128
     field = 8 * width
     ones = int.from_bytes((b"\x01" + bytes(width - 1)) * (rows + 1), "little")
-    bias = ones * ((1 << (field - 1)) - p)
-
-    def recurrence():
-        row = 1
-        for n in range(rows):
-            data = row.to_bytes(width * (n + 1), sys.byteorder)
-            yield (memoryview(data).cast(_CELL_FORMAT[width]) if width > 1 else data)[::_CELL_STEP]
-            row += row << field
-            row -= p * (((row + bias) >> (field - 1)) & ones)
-
-    return recurrence()
+    bias = ones * ((1 << (field - 1)) - modulus)
+    row = 1
+    for n in range(rows):
+        data = row.to_bytes(width * (n + 1), sys.byteorder)
+        yield (memoryview(data).cast(_CELL_FORMAT[width]) if width > 1 else data)[::_CELL_STEP]
+        row += row << field
+        row -= modulus * (((row + bias) >> (field - 1)) & ones)
 
 
 def verify_triangle_matrix_correspondence(n: int) -> Report:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sierpinski import identities
-from sierpinski.algebra import X, Y, binomial
-from sierpinski.digits import carry_free, carry_rows, sum_of_digits
+from sierpinski.algebra import X, Y, binomial, p_adic_valuation
+from sierpinski.digits import base_digits, carry_free, carry_rows, sum_of_digits
 from sierpinski.errors import SizeLimitError
 from sierpinski.identities import (
     Report,
@@ -213,6 +213,23 @@ class TestVerifyDigitalBinomial:
             "first_mismatch='', cases=2)"
         )
 
+    def test_corrupted_pair_count_fails(self, monkeypatch):
+        # one summand too many at (s(k), s(m-k)) = (1, 1) of m = 3: 3*X*Y against 2*X*Y
+        real = identities.exponent_pair_counts
+
+        def one_too_many(m):
+            counts = real(m)
+            if m == 3:
+                counts[(1, 1)] += 1
+            return counts
+
+        monkeypatch.setattr(identities, "exponent_pair_counts", one_too_many)
+        report = verify_digital_binomial(3)
+        assert report.passed is False
+        assert report.first_mismatch == "coefficient of X^1*Y^1 differs by -1"
+        assert report.lhs == "1*X^2 + 2*X^1*Y^1 + 1*Y^2"
+        assert report.rhs == "1*X^2 + 3*X^1*Y^1 + 1*Y^2"
+
 
 class TestVerifyRange:
     def test_pass_sums_cases(self):
@@ -339,9 +356,14 @@ class TestVerifyKummer:
         assert verify_kummer(8, 3).cases == 36
 
     def test_wrong_valuation_is_the_first_mismatch(self, monkeypatch):
-        # a valuation one too high at binomial 6 = C(4, 2) only: cell (4, 2) fails
-        real = identities.p_adic_valuation
-        monkeypatch.setattr(identities, "p_adic_valuation", lambda c, p: real(c, p) + (c == 6))
+        # C(4, 2) = 6 read as 0 mod 2^2, in the rows verify_kummer reads: cell (4, 2) fails
+        real = identities._pascal_rows
+
+        def rows(n_max, modulus):
+            for n, row in enumerate(real(n_max, modulus)):
+                yield row[:2] + b"\x00" + row[3:] if (n, modulus) == (4, 4) else row
+
+        monkeypatch.setattr(identities, "_pascal_rows", rows)
         report = verify_kummer(8, 2)
         assert not report.passed
         assert (report.lhs, report.rhs) == ("valuation 2", "carries 1")
@@ -360,6 +382,45 @@ class TestVerifyKummer:
         assert (report.lhs, report.rhs) == ("valuation 1", "carries 2")
         assert report.first_mismatch == "n=4 k=2 binomial=6"
         assert report.cases == 13
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_passes_at_the_depth_edges(self, p):
+        # n_max = p^d ends on rows of d base-p digits; p^d + 1 adds row p^d, of d + 1 digits
+        for d in range(7):
+            for n_max in (p**d, p**d + 1):
+                report = verify_kummer(n_max, p)
+                assert report.passed, report.to_text()
+                assert report.cases == n_max * (n_max + 1) // 2
+
+    @pytest.mark.parametrize(
+        "n_max, p", [(8, 2), (9, 3), (10, 3), (50, 7), (5, 65521), (4, 4294967291), (1024, 2)]
+    )
+    def test_zero_mod_p_to_the_depth_reads_as_depth(self, monkeypatch, n_max, p):
+        # the first cell of valuation depth - 1, zeroed mod p^depth only, counts depth zeros
+        depth = max(len(base_digits(n_max - 1, p)), 1)
+        n, k = next(
+            (n, k)
+            for n in range(n_max)
+            for k in range(n + 1)
+            if p_adic_valuation(binomial(n, k), p) == depth - 1
+        )
+        real, moduli = identities._pascal_rows, []
+
+        def zeroed(n_rows, modulus):
+            moduli.append(modulus)
+            for j, row in enumerate(real(n_rows, modulus)):
+                cells = list(row)
+                if (j, modulus) == (n, p**depth):
+                    cells[k] = 0
+                yield cells
+
+        monkeypatch.setattr(identities, "_pascal_rows", zeroed)
+        report = verify_kummer(n_max, p)
+        assert moduli == [p**e for e in range(1, depth + 1)]
+        assert not report.passed
+        assert (report.lhs, report.rhs) == (f"valuation {depth}", f"carries {depth - 1}")
+        assert report.first_mismatch == f"n={n} k={k} binomial={binomial(n, k)}"
+        assert report.cases == n * (n + 1) // 2 + k + 1
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -454,6 +515,12 @@ class TestPascalMod:
             tri = triangle(200, p)
             for n in range(200):
                 assert tri[n] == tuple(math.comb(n, k) % p for k in range(n + 1)), (p, n)
+
+    def test_shared_recurrence_mod_prime_powers(self):
+        # the moduli p^e verify_kummer reads, across one-, two- and four-byte cells
+        for q in (4, 8, 9, 125, 2**10, 3**7, 31**3, 1021**2):
+            for n, row in enumerate(identities._pascal_rows(120, q)):
+                assert tuple(row) == tuple(math.comb(n, k) % q for k in range(n + 1)), (q, n)
 
     def test_rejects_composite_modulus(self):
         # refused when called, before a row is asked for
