@@ -167,10 +167,11 @@ def render_pbm(cells, width: int):
 
 
 def _csv_records(cells, modulus: int):
-    """One csv record a row, each ended by csv's \\r\\n."""
+    """One csv record a row, each ended by csv's \\r\\n; residues below 2^16 read one table."""
+    text = list(map(str, range(modulus))).__getitem__ if modulus < 1 << 16 else str
     for row in cells:
         if modulus > MAX_ASCII_MOD:
-            yield ",".join(map(str, row)) + "\r\n"
+            yield ",".join(map(text, row)) + "\r\n"
         else:
             # single-digit residues: the digits at even offsets, commas between
             line = bytearray(b",") * (2 * len(row) - 1)

@@ -264,10 +264,11 @@ def verify_classical_reduction(n: int) -> bool:
 def verify_group_law(order: int) -> Report:
     """Check S_n(X) S_n(Y) == S_n(X+Y) and S_n(X) S_n(-X) == I with exact products.
 
-    Both products are matmul, which sums over every k and assumes nothing
-    about the group law; the sides they are compared with come from
-    build_recursive(n, X+Y) and the identity matrix.  cases counts the
-    lower-triangle cells of the two products, size * (size + 1).
+    Both products are matmul, which sums every term a[j][k] * b[k][l] once,
+    block by block, reusing a block product only for byte-identical blocks;
+    it assumes nothing about the group law.  The sides they are compared with
+    come from build_recursive(n, X+Y) and the identity matrix.  cases counts
+    the lower-triangle cells of the two products, size * (size + 1).
     """
     x = build_recursive(order, X)
     same = matrices_equal(matmul(x, build_recursive(order, Y)), build_recursive(order, X + Y))

@@ -22,8 +22,9 @@ from __future__ import annotations
 import operator
 import struct
 import sys
+from bisect import bisect_left
 from collections import Counter
-from itertools import chain
+from itertools import chain, product
 
 from .algebra import ONE, Poly
 from .digits import _check_nonnegative
@@ -43,9 +44,10 @@ __all__ = [
 
 MAX_BUILD_ORDER = 12  # 3^12 ~ 5.3e5 stored entries; at most 16, so columns fit uint16
 MAX_MUL_ORDER = 10
+_CUTOFF, _LEAF = 6, 3  # matmul tallies orders up to 6 whole, and splits others down to order 3
 
 _INC = bytes((e + 1) & 0xFF for e in range(256))  # exponent e -> e + 1
-_SET_BIT = tuple(bytes(v | 1 << b for v in range(256)) for b in range(8))  # byte v -> v | 2^b
+_FLIP_BIT = tuple(bytes(v ^ 1 << b for v in range(256)) for b in range(8))  # byte v -> v ^ 2^b
 _HIGH_LANE = 1 if sys.byteorder == "little" else 0  # byte of a uint16 column with bits 8-15
 _POPCOUNT = bytes(v.bit_count() for v in range(256))
 
@@ -242,7 +244,7 @@ def build_recursive(n: int, argument: Poly) -> MonomialMatrix:
     cols, exps = [_pack_columns([0])], [b"\x00"]
     for t in range(n):
         lane = _HIGH_LANE if t >= 8 else 1 - _HIGH_LANE
-        table = _SET_BIT[t & 7]
+        table = _FLIP_BIT[t & 7]  # bit t is clear: the flip sets it
         for j in range(1 << t):
             shifted = bytearray(cols[j])
             shifted[lane::2] = shifted[lane::2].translate(table)
@@ -294,11 +296,12 @@ def _entry_rows(m: MonomialMatrix | PolyMatrix):
 
 
 def _keyed(m: MonomialMatrix | PolyMatrix):
-    """(column, key) rows and a key -> Poly lookup; a key is an exponent or an interned entry."""
+    """(packed columns, keys) rows and a key -> Poly lookup; a key is an exponent or an entry id."""
     if isinstance(m, MonomialMatrix):
-        return map(_pairs, m.cols, m.exps), m._powers()
+        return tuple(zip(m.cols, m.exps)), m._powers()
     keys: dict[Poly, int] = {}
-    rows = [[(k, keys.setdefault(p, len(keys))) for k, p in row.items()] for row in m._rows]
+    rows = tuple((_pack_columns(list(r)), tuple(keys.setdefault(p, len(keys)) for p in r.values()))
+                 for r in m._rows)
     return rows, dict(enumerate(keys))
 
 
@@ -314,25 +317,103 @@ def _decode(code: int, w: int, monos: list) -> Poly:
     return Poly._raw({m: c for m, c in zip(reversed(monos), fields) if c})
 
 
+class _Blocks:
+    """The tables of one matmul call, dropped with it: nothing in them refers back to them."""
+
+    def __init__(self, values_a: dict, values_b: dict, w: int, leaf: int):
+        self.values_a, self.values_b, self.w, self.leaf = values_a, values_b, w, leaf
+        self.codes, self.mono = {}, {}  # ka -> kb -> packed product; monomial -> its field index
+        self.blocks, self.quads = {}, {}  # block content -> kept tuple; kept id -> its quadrants
+        self.done, self.sums = {}, {}  # kept id pair -> product rows; each sum as one int object
+
+    def intern(self, block: tuple) -> tuple | None:
+        """The kept tuple of a block's rows (packed relative columns, keys); None if empty."""
+        return self.blocks.setdefault(block, block) if any(c for c, _ in block) else None
+
+    def quadrants(self, block: tuple, t: int) -> tuple:
+        """Quadrants 11, 12, 21, 22 of a block of order t, interned, columns made relative."""
+        if id(block) not in self.quads:
+            h, lane, left, right = 1 << t - 1, _HIGH_LANE if t > 8 else 1 - _HIGH_LANE, [], []
+            for cols, keys in block:
+                s = bisect_left(memoryview(cols).cast("H"), h)
+                shifted = bytearray(cols[2 * s :])  # every column here has bit t-1 set: clear it
+                shifted[lane::2] = shifted[lane::2].translate(_FLIP_BIT[t - 1 & 7])
+                left.append((cols[: 2 * s], keys[:s]))
+                right.append((bytes(shifted), keys[s:]))
+            parts = left[:h], right[:h], left[h:], right[h:]
+            self.quads[id(block)] = tuple(self.intern(tuple(part)) for part in parts)
+        return self.quads[id(block)]
+
+    def product(self, a: tuple, b: tuple, t: int) -> list[dict[int, int]]:
+        """Rows {column: code} of kept blocks a times b, both of order t, once per pair."""
+        key = id(a), id(b)
+        if key not in self.done:
+            self.done[key] = self.split(a, b, t) if t > self.leaf else [*self.tally(a, b, 1 << t)]
+        return self.done[key]
+
+    def plus(self, x: dict, y: dict) -> dict:
+        """The sum of two {column: code} rows, zeros dropped; an empty row gives the other."""
+        if not x or not y:
+            return x or y
+        s = x | {l: self.sums.setdefault(v, v) for l, c in y.items() for v in (x.get(l, 0) + c,)}
+        return s if all(s.values()) else {l: c for l, c in s.items() if c}
+
+    def split(self, a: tuple, b: tuple, t: int) -> list[dict[int, int]]:
+        """C_rc = A_r0 B_0c + A_r1 B_1c over the quadrants, C_r1's columns moved right by h."""
+        qa, qb, h, rows = self.quadrants(a, t), self.quadrants(b, t), 1 << t - 1, []
+        for r in (0, 1):
+            parts = [[{}] * h, [{}] * h]  # the rows of C_r0 and of C_r1
+            for c, m in product((0, 1), repeat=2):
+                if None not in (x := qa[2 * r + m], y := qb[2 * m + c]):
+                    parts[c] = list(map(self.plus, parts[c], self.product(x, y, t - 1)))
+            rows += (x | {l + h: v for l, v in y.items()} if y else x for x, y in zip(*parts))
+        return rows
+
+    def tally(self, rows_a: tuple, rows_b: tuple, size: int):
+        """Yield the rows {column: code} of a product, zeros (as in S_n(x) S_n(-x)) dropped."""
+        coded_b = [[kb * size + l for l, kb in _pairs(*r)] for r in rows_b]  # (kb, l) as one int
+        for row in rows_a:
+            by_ka: dict[int, list] = {}
+            for k, ka in _pairs(*row):
+                by_ka.setdefault(ka, []).append(coded_b[k])
+            acc: dict[int, int] = {}
+            for ka, lists in by_ka.items():
+                codes = self.codes.setdefault(ka, {})
+                for key, count in Counter(chain.from_iterable(lists)).items():
+                    kb, l = divmod(key, size)
+                    code = codes.get(kb)
+                    if code is None:
+                        terms = (self.values_a[ka] * self.values_b[kb])._terms
+                        code = codes[kb] = sum(c << self.w * self.mono.setdefault(m, len(self.mono))
+                                               for m, c in terms.items())
+                    acc[l] = acc.get(l, 0) + count * code
+            yield acc if all(acc.values()) else {l: c for l, c in acc.items() if c}
+
+
 def matmul(a, b) -> PolyMatrix:
     """Exact product of two equal-order lower-triangular matrices.
 
-    Entry (j, l) is the definitional sum over k of a[j][k] * b[k][l].  Its
-    terms are only grouped by multiplicity: row j tallies (key of a[j][k],
-    key of b[k][l], l) over every k, each distinct key pair is multiplied
-    out once with Poly.__mul__, and the product enters entry l times its
-    count as one packed int: the i-th distinct monomial met in the call
-    owns the w-bit field at bit w*i.
+    Entry (j, l) is the definitional sum over k of a[j][k] * b[k][l], taken
+    by blocks: above order 6 both operands split into 2x2 quadrants, C_rc =
+    A_r0 B_0c + A_r1 B_1c, down to order 3.  A block is interned by its
+    content, packed relative columns and keys (exponents, or ids of a
+    PolyMatrix's distinct entries), and each pair is multiplied once per
+    call.  A leaf tallies (key of a[j][k], key of b[k][l], l) over every k
+    in row j; each distinct key pair is multiplied out once with
+    Poly.__mul__ and enters entry l times its count as one packed int: the
+    i-th distinct monomial of the call owns the w-bit field at bit w*i.
 
-    The packing changes how a polynomial is stored, not what is summed, and
-    it is exact: distinct monomials own distinct fields, and an output
-    coefficient sums at most 2^order products, each at most the largest
-    coefficient 1-norm of a's entries times b's.  w bits hold that bound
-    with a sign, so every field decodes to its coefficient.
+    Exactness: distinct monomials own distinct fields, integer addition is
+    associative, and an output coefficient sums at most 2^order products,
+    each at most the largest coefficient 1-norm of a's entries times b's.
+    w bits hold that with a sign; each distinct entry is decoded once.
 
-    Independence: nothing here assumes the group law.  Every k is visited
-    and tallied, so S_n(x) S_n(y) is still the sum over k, and the side it
-    is compared with comes from build_recursive(n, X+Y) and (X+Y)**e.
+    Independence: a product is reused only for byte-identical blocks, which
+    is memoisation of a pure function, and every (j, k, l) lies in exactly
+    one leaf product, so S_n(x) S_n(y) is still the sum over k.  Nothing
+    assumes the group law or the Kronecker mixed-product rule: x*S_t and
+    S_t are different blocks, multiplied apart.  The other side comes from
+    build_recursive(n, X+Y) and (X+Y)**e.
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
@@ -341,39 +422,16 @@ def matmul(a, b) -> PolyMatrix:
             f"order {a.order} exceeds the multiplication limit {MAX_MUL_ORDER}: "
             f"each factor holds 3^{a.order} = {3**a.order} entries"
         )
-    rows_a, values_a = _keyed(a)
-    rows_b, values_b = _keyed(b)
+    (rows_a, values_a), (rows_b, values_b) = _keyed(a), _keyed(b)
     norm = [max((sum(map(abs, p._terms.values())) for p in v.values()), default=0)
             for v in (values_a, values_b)]
     w = (norm[0] * norm[1] << a.order).bit_length() + 1
-    size = a.size
-    coded_b = [[kb * size + l for l, kb in row] for row in rows_b]  # (kb, l) as one int
-    products: dict[int, dict[int, int]] = {ka: {} for ka in values_a}  # ka -> kb -> code
-    mono, monos = {}, []  # monomial -> field index, and index -> monomial as of the last decode
-    decoded: dict[int, Poly] = {}
-    rows = []
-    for row in rows_a:
-        by_ka: dict[int, list] = {}
-        for k, ka in row:
-            by_ka.setdefault(ka, []).append(coded_b[k])
-        acc: dict[int, int] = {}
-        for ka, lists in by_ka.items():
-            codes = products[ka]
-            for key, count in Counter(chain.from_iterable(lists)).items():
-                kb, l = divmod(key, size)
-                code = codes.get(kb)
-                if code is None:
-                    terms = (values_a[ka] * values_b[kb])._terms
-                    code = codes[kb] = sum(c << w * mono.setdefault(m, len(mono))
-                                           for m, c in terms.items())
-                acc[l] = acc.get(l, 0) + count * code
-        if len(monos) < len(mono):
-            monos = list(mono)
-        for code in set(acc.values()) - decoded.keys():
-            decoded[code] = _decode(code, w, monos)
-        # an entry that cancels, as in S_n(x) S_n(-x), is dropped; every l is a column of b
-        rows.append({l: decoded[acc[l]] for l in sorted(acc) if acc[l]})
-    return PolyMatrix._raw(a.order, rows)
+    tables = _Blocks(values_a, values_b, w, a.order if a.order <= _CUTOFF else _LEAF)
+    kept = tables.intern(rows_a), tables.intern(rows_b)
+    acc = [{}] * a.size if None in kept else tables.product(*kept, a.order)
+    monos, tables = list(tables.mono), None  # the block tables go before the decoding
+    decoded = {c: _decode(c, w, monos) for c in set(chain.from_iterable(map(dict.values, acc)))}
+    return PolyMatrix._raw(a.order, [{l: decoded[row[l]] for l in sorted(row)} for row in acc])
 
 
 def matrices_equal(a, b) -> bool:

@@ -23,6 +23,7 @@ from sierpinski.identities import (
     pascal_mod,
     verify_classical_reduction,
     verify_digital_binomial,
+    verify_group_law,
     verify_kummer,
     verify_triangle_matrix_correspondence,
 )
@@ -183,6 +184,14 @@ def test_criterion_9_numeric_cross_check():
             direct = (x0 + y0) ** sigma
             assert lhs == rhs == direct
     report(9, "100 random evaluations match big-integer powers", clock, budget=5)
+
+
+def test_criterion_10_group_law_at_the_multiplication_cap():
+    with Clock() as clock:
+        report_obj = verify_group_law(10)
+        assert report_obj
+        assert report_obj.cases == 1024 * 1025
+    report(10, "S_10(X) S_10(Y) == S_10(X+Y) and S_10(X) S_10(-X) == I", clock, budget=3)
 
 
 def test_worked_example_report_round_trip():

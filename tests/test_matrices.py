@@ -1,6 +1,7 @@
 """Matrix family: two constructions and exact products."""
 
 import array
+import gc
 import random
 import tracemalloc
 
@@ -33,6 +34,27 @@ S3_GOLDEN = "\n".join(
         "1*X^3\t1*X^2\t1*X^2\t1*X^1\t1*X^2\t1*X^1\t1*X^1\t1",
     ]
 )
+
+
+def sparse_product(a, b) -> PolyMatrix:
+    # definitional oracle over stored entries: entry (j, l) sums a[j][k] * b[k][l] with Poly arithmetic
+    a, b = (m.to_poly_matrix() if isinstance(m, MonomialMatrix) else m for m in (a, b))
+    rows = []
+    for j in range(a.size):
+        row = {}
+        for k, p in a.row(j).items():
+            for l, q in b.row(k).items():
+                row[l] = row.get(l, Poly()) + p * q
+        rows.append({l: row[l] for l in sorted(row) if row[l]})
+    return PolyMatrix(a.order, rows)
+
+
+def with_exponent_raised(m: MonomialMatrix, j: int, k: int) -> MonomialMatrix:
+    # m with the stored exponent at (j, k) one higher: one corrupted entry
+    rows = [list(row) for row in m.rows]
+    i = [col for col, _ in rows[j]].index(k)
+    rows[j][i] = (k, rows[j][i][1] + 1)
+    return MonomialMatrix(m.order, m.argument, rows)
 
 
 def dense_product(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -303,6 +325,80 @@ class TestMatMul:
             matmul(a, a)
         # construction above the default is allowed; only the product is capped
         assert a.order == 11
+
+
+class TestBlockRecursion:
+    """Products above order 6 are summed by quadrants, each pair of distinct blocks once.
+
+    In S_7(x) the top split has A22 == A11 and A21 == x*A11, so a block
+    product reused for blocks that match only in their columns, or only up
+    to a shift, gives a wrong entry here.
+    """
+
+    # (row, column) in A11, A21 and A22 of the top split, and in A22 of A22
+    SPOTS = {"A11": (37, 1), "A21": (101, 5), "A22": (101, 65), "A22 of A22": (101, 97)}
+
+    @pytest.mark.parametrize("spot", SPOTS)
+    def test_one_corrupted_exponent_in_a(self, spot):
+        a = with_exponent_raised(build_recursive(7, X), *self.SPOTS[spot])
+        b = build_recursive(7, Y)
+        prod = matmul(a, b)
+        assert prod == sparse_product(a, b)
+        assert not matrices_equal(prod, build_recursive(7, X + Y))
+
+    def test_one_corrupted_exponent_in_b22(self):
+        a, b = build_recursive(7, X), with_exponent_raised(build_recursive(7, -X), 101, 65)
+        prod = matmul(a, b)
+        assert prod == sparse_product(a, b)
+        assert prod != identity(7)
+
+    def test_random_pair_whose_a22_copies_a11_but_one_entry(self):
+        rng = random.Random(20)
+        pool = [ONE, -ONE, X, 2 * Y, X - Y, X * Y + 3]
+
+        def sparse_rows(size, square):
+            # square: a block that may hold columns above its diagonal, as A21 does
+            return [{k: rng.choice(pool) for k in range(size if square else j + 1)
+                     if rng.random() < 0.3} for j in range(size)]
+
+        top, low = sparse_rows(64, False), sparse_rows(64, True)
+        copy = [{k + 64: p for k, p in row.items()} for row in top]
+        j = next(j for j in range(40, 64) if top[j])
+        k = min(copy[j])
+        copy[j][k] = copy[j][k] + X**5  # the one entry A22 does not copy
+        a = PolyMatrix(7, top + [{**lo, **hi} for lo, hi in zip(low, copy)])
+        b = PolyMatrix(7, sparse_rows(128, False))
+        exact = PolyMatrix(7, top + [{**lo, **{k + 64: p for k, p in up.items()}}
+                                     for lo, up in zip(low, top)])
+        for left in (a, exact):
+            assert matmul(left, b) == sparse_product(left, b)
+        assert matmul(a, b) != matmul(exact, b)
+
+    def test_no_state_outlives_a_call(self, monkeypatch):
+        a, b = build_recursive(8, X), build_recursive(8, Y)
+        calls = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            matmul(a, b)
+            counts.append(len(calls))
+        # the powers of X and Y, and each distinct exponent pair once per call: as the plain tally
+        assert counts == [97, 97]
+        monkeypatch.undo()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            prod = matmul(a, b)
+            assert prod.nonzero_count() == 3**8
+            del prod
+            left = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 64 * 1024  # no reference cycle keeps the block tables alive
 
 
 class TestStructure:
