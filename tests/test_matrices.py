@@ -37,7 +37,7 @@ S3_GOLDEN = "\n".join(
 
 
 def sparse_product(a, b) -> PolyMatrix:
-    # definitional oracle over stored entries: entry (j, l) sums a[j][k] * b[k][l] with Poly arithmetic
+    # definitional oracle over stored entries: (j, l) sums a[j][k] * b[k][l] in Poly arithmetic
     a, b = (m.to_poly_matrix() if isinstance(m, MonomialMatrix) else m for m in (a, b))
     rows = []
     for j in range(a.size):
