@@ -166,9 +166,10 @@ def render_pbm(cells, width: int):
         yield line.decode("ascii")
 
 
-def _csv_records(cells, modulus: int):
+def _csv_records(cells, modulus: int, width: int):
     """One csv record a row, each ended by csv's \\r\\n; residues below 2^16 read one table."""
-    text = list(map(str, range(modulus))).__getitem__ if modulus < 1 << 16 else str
+    table = modulus < min(1 << 16, width * (width + 1) // 2)  # only when cells outnumber p
+    text = list(map(str, range(modulus))).__getitem__ if table else str
     for row in cells:
         if modulus > MAX_ASCII_MOD:
             yield ",".join(map(text, row)) + "\r\n"
@@ -199,7 +200,7 @@ def cmd_triangle(args, out) -> int:
     elif args.format == "pbm":
         out.writelines(render_pbm(cells, width))
     else:
-        out.writelines(_csv_records(cells, args.mod))
+        out.writelines(_csv_records(cells, args.mod, width))
     return 0
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "MonomialMatrix",
     "PolyMatrix",
     "MAX_BUILD_ORDER",
-    "MAX_MUL_ORDER",
     "build_recursive",
     "build_closed_form",
     "identity",
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 MAX_BUILD_ORDER = 12  # 3^12 ~ 5.3e5 stored entries; at most 16, so columns fit uint16
-MAX_MUL_ORDER = 10
 _CUTOFF, _LEAF = 6, 3  # matmul tallies orders up to 6 whole, and splits others down to order 3
 
 _INC = bytes((e + 1) & 0xFF for e in range(256))  # exponent e -> e + 1
@@ -52,13 +50,17 @@ _HIGH_LANE = 1 if sys.byteorder == "little" else 0  # byte of a uint16 column wi
 _POPCOUNT = bytes(v.bit_count() for v in range(256))
 
 
-def _check_build(n: int, argument) -> None:
+def _check_order(n: int) -> None:
+    """The one order cap of every matrix, built, constructed or identity, before allocation."""
     _check_nonnegative("order", n)
     if n > MAX_BUILD_ORDER:
-        raise SizeLimitError(
-            f"order {n} exceeds the construction limit {MAX_BUILD_ORDER}: "
-            f"the matrix would hold 3^{n} = {3**n} entries"
-        )
+        count = f"3^{n} = {3**n}" if n <= 64 else f"3^{n}"  # written out only while short
+        raise SizeLimitError(f"order {n} exceeds the construction limit {MAX_BUILD_ORDER}: "
+                             f"the matrix would hold {count} entries")
+
+
+def _check_build(n: int, argument) -> None:
+    _check_order(n)
     if not isinstance(argument, Poly):
         raise ValueError(f"the argument must be a Poly, got {argument!r}")
 
@@ -184,7 +186,7 @@ class PolyMatrix:
 
     def __init__(self, order: int, rows):
         """Rows map column -> Poly, row j's columns within [0, j]; zero entries are dropped."""
-        _check_nonnegative("order", order)
+        _check_order(order)
         rows = list(rows)
         _check_rows(order, rows)
         clean = []
@@ -284,7 +286,8 @@ def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
 
 
 def identity(order: int) -> PolyMatrix:
-    return PolyMatrix(order, [{j: ONE} for j in range(1 << order)])
+    _check_order(order)
+    return PolyMatrix._raw(order, [{j: ONE} for j in range(1 << order)])
 
 
 def _entry_rows(m: MonomialMatrix | PolyMatrix):
@@ -417,11 +420,6 @@ def matmul(a, b) -> PolyMatrix:
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    if a.order > MAX_MUL_ORDER:
-        raise SizeLimitError(
-            f"order {a.order} exceeds the multiplication limit {MAX_MUL_ORDER}: "
-            f"each factor holds 3^{a.order} = {3**a.order} entries"
-        )
     (rows_a, values_a), (rows_b, values_b) = _keyed(a), _keyed(b)
     norm = [max((sum(map(abs, p._terms.values())) for p in v.values()), default=0)
             for v in (values_a, values_b)]

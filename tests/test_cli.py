@@ -285,7 +285,7 @@ class TestVerify:
             assert result.stderr.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "argv", [["--max-n", "2000"], ["--p", "4"], ["--order", "11"], ["--order", "13"]]
+        "argv", [["--max-n", "2000"], ["--p", "4"], ["--order", "13"]]
     )
     def test_all_refused_by_a_late_suite_prints_nothing(self, argv):
         # kummer, group or correspondence refuses, with the real verifiers in place
@@ -300,21 +300,16 @@ class TestVerify:
             (["--p", "4"], "p must be prime, got 4"),
             (["--max-n", "2000"], "n_max = 2000 exceeds the practical limit 1024"),
             (
-                ["--order", "11"],
-                "order 11 exceeds the multiplication limit 10: "
-                "each factor holds 3^11 = 177147 entries",
-            ),
-            (
                 ["--order", "13"],
                 "order 13 exceeds the construction limit 12: "
                 "the matrix would hold 3^13 = 1594323 entries",
             ),
         ],
-        ids=["kummer-p", "kummer-max-n", "group-order", "correspondence-order"],
+        ids=["kummer-p", "kummer-max-n", "correspondence-order"],
     )
     def test_all_refuses_before_the_range_scans(self, monkeypatch, argv, message):
         # kummer, group and correspondence run in that order, before the range
-        # scans; correspondence does real work at --order 11, so it runs after group
+        # scans; --order 13 is refused by group's build, so correspondence never runs
         from sierpinski import identities
 
         def never(*_):
@@ -437,6 +432,17 @@ class TestTriangle:
         assert result.stdout.splitlines() == [
             ",".join(str(math.comb(n, k) % 131) for k in range(n + 1)) for n in range(90)
         ]
+
+    def test_csv_builds_no_residue_table_larger_than_the_triangle(self):
+        # 16 rows hold 136 cells; a table of 65,521 residue strings would take ~4 MB
+        tracemalloc.start()
+        try:
+            result = run_cli("triangle", "--rows", "16", "--mod", "65521", "--format", "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stdout == reference_render(reference_pascal_cells(16, 65521), 65521, "csv")
+        assert peak < 1024 * 1024
 
     @pytest.mark.parametrize(
         "argv", [["--rows", "4096"], ["--order", "12"]], ids=["pascal-mod", "matrix-ones"]

@@ -25,7 +25,7 @@ from sierpinski.identities import (
     verify_triangle_matrix_correspondence,
 )
 from sierpinski.matrices import (
-    MAX_MUL_ORDER,
+    MAX_BUILD_ORDER,
     MonomialMatrix,
     build_closed_form,
     build_recursive,
@@ -449,12 +449,13 @@ class TestVerifyGroupLaw:
         assert not verify_group_law(3)
 
     def test_multiplication_limit(self):
-        with pytest.raises(SizeLimitError, match="multiplication limit"):
-            verify_group_law(11)
+        # products have no cap of their own: the first order refused is the build cap's
+        with pytest.raises(SizeLimitError, match="construction limit 12: .* 3\\^13 = 1594323"):
+            verify_group_law(MAX_BUILD_ORDER + 1)
 
     def test_passes_at_the_product_cap(self):
-        # verify group --order 10 is the largest order the CLI accepts
-        assert verify_group_law(MAX_MUL_ORDER)
+        # verify group --order 12 is the largest order the CLI accepts
+        assert verify_group_law(MAX_BUILD_ORDER)
 
     def test_one_corrupted_exponent_fails_at_the_product_cap(self, monkeypatch):
         def build(n, arg):
@@ -467,7 +468,7 @@ class TestVerifyGroupLaw:
             return MonomialMatrix(n, arg, rows)
 
         monkeypatch.setattr(identities, "build_recursive", build)
-        assert not verify_group_law(MAX_MUL_ORDER)
+        assert not verify_group_law(MAX_BUILD_ORDER)
 
 
 class TestPascalMod:

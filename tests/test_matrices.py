@@ -320,11 +320,9 @@ class TestMatMul:
             matmul(build_recursive(2, X), build_recursive(3, X))
 
     def test_multiplication_limit(self):
-        a = build_recursive(11, X)
-        with pytest.raises(SizeLimitError):
-            matmul(a, a)
-        # construction above the default is allowed; only the product is capped
-        assert a.order == 11
+        # a product has no cap of its own: any two matrices that exist multiply
+        prod = matmul(build_recursive(11, X), build_recursive(11, Y))
+        assert matrices_equal(prod, build_recursive(11, X + Y))
 
 
 class TestBlockRecursion:
@@ -514,6 +512,27 @@ class TestPackedRows:
             MonomialMatrix(-1, X, [])
         with pytest.raises(SizeLimitError):
             MonomialMatrix(MAX_BUILD_ORDER + 1, X, [])
+
+    def test_every_matrix_object_refuses_order_outside_the_build_cap(self):
+        # identity and PolyMatrix share the builders' cap, checked before any row exists;
+        # identity is never asked for an order whose rows would be large if the check went
+        def rows():
+            raise AssertionError("rows were read before the order was checked")
+            yield
+
+        limit = "^order {} exceeds the construction limit 12: the matrix would hold 3\\^{} entries$"
+        for make, orders in ((identity, [13]), (lambda n: PolyMatrix(n, rows()), [13, 10**6]),
+                             (lambda n: build_recursive(n, X), [13, 10**6])):
+            with pytest.raises(ValueError, match="^order must be non-negative, got -1$"):
+                make(-1)
+            for n in orders:
+                count = "13 = 1594323" if n == 13 else n
+                with pytest.raises(SizeLimitError, match=limit.format(n, count)):
+                    make(n)
+
+    def test_identity_at_the_build_cap(self):
+        canonical = PolyMatrix(MAX_BUILD_ORDER, [{j: ONE} for j in range(1 << MAX_BUILD_ORDER)])
+        assert identity(MAX_BUILD_ORDER) == canonical
 
     @pytest.mark.parametrize("field", ["cols", "exps"])
     def test_one_corrupted_byte_fails_equality_and_group_law(self, monkeypatch, field):
