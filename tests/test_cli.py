@@ -285,10 +285,12 @@ class TestVerify:
             assert result.stderr.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "argv", [["--max-n", "2000"], ["--p", "4"], ["--order", "13"]]
+        "argv",
+        [["--max-n", "2000"], ["--p", "4"], ["--order", "100000"], ["--order", "13"]],
     )
     def test_all_refused_by_a_late_suite_prints_nothing(self, argv):
-        # kummer, group or correspondence refuses, with the real verifiers in place
+        # kummer or group refuses, with the real verifiers in place; --order 100000
+        # is refused before anything is built, as --order 13 is
         result = run_cli("verify", "all", *argv)
         assert result.returncode == 2
         assert result.stdout == ""
