@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .digits import is_prime
+from .digits import _check_prime
 
 __all__ = ["Poly", "X", "Y", "ONE", "ZERO", "binomial", "p_adic_valuation"]
 
@@ -200,8 +200,7 @@ def p_adic_valuation(value: int, p: int) -> int:
     """Largest e such that p**e divides value."""
     if value == 0:
         raise ValueError("the valuation of 0 is infinite")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime("p", p)
     value = abs(value)
     e = 0
     while value % p == 0:

@@ -32,7 +32,18 @@ def _check_nonnegative(name: str, value: int) -> None:
         raise ValueError(f"{name} must be non-negative, got {value}")
 
 
-@lru_cache(maxsize=64)  # per-cell argument checks repeat the same few moduli
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_prime(name: str, value: int) -> None:
+    if not is_prime(value):
+        raise ValueError(f"{name} must be prime, got {value}")
+
+
+# for the tests' per-cell carry_count and p_adic_valuation oracles; uncached, 0.5-0.9 s slower
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Trial-division primality test; n >= PRIME_LIMIT is refused before dividing."""
     if n >= PRIME_LIMIT:
@@ -91,8 +102,7 @@ def carry_count(n: int, k: int, base: int = 2) -> int:
         _check_nonnegative("n", n)
         _check_nonnegative("k", k)
         raise ValueError(f"k must not exceed n, got k={k}, n={n}")
-    if not is_prime(base):
-        raise ValueError(f"base must be prime, got {base}")
+    _check_prime("base", base)
     count = 0
     q = base
     while q <= n:
@@ -109,10 +119,8 @@ def carry_rows(n_max: int, base: int = 2):
     carry, so the row adds bytes(r + 1) + b"\x01" * (q - 1 - r), repeated and
     cut to n + 1 bytes.  A lane gains one per power at most, so it stays below 256.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
-    if not is_prime(base):
-        raise ValueError(f"base must be prime, got {base}")
+    _check_positive("n_max", n_max)
+    _check_prime("base", base)
 
     def rows():
         for n in range(n_max):

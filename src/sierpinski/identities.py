@@ -19,7 +19,8 @@ from collections import Counter, namedtuple
 from operator import not_
 
 from .algebra import ONE, Poly, X, Y, binomial
-from .digits import _check_nonnegative, carry_free, carry_free_summands, carry_rows, is_prime
+from .digits import (_check_nonnegative, _check_positive, _check_prime, carry_free,
+                     carry_free_summands, carry_rows)
 from .errors import SizeLimitError
 from .matrices import build_closed_form, build_recursive, identity, matmul, matrices_equal
 
@@ -199,8 +200,7 @@ def verify_digital_binomial(m: int) -> Report:
     passed = lhs == rhs
     mismatch = ""
     if not passed:
-        diff = lhs - rhs
-        (a, b), c = min(diff.terms.items(), key=lambda t: (t[0][0] + t[0][1], t[0][0]))
+        (a, b), c = (lhs - rhs)._ordered()[-1]  # the lowest term in Poly's graded order
         mismatch = f"coefficient of X^{a}*Y^{b} differs by {c}"
     return Report(
         identity="digital-binomial",
@@ -219,8 +219,7 @@ def verify_range(verify, stop: int) -> Report:
     The passing Report's cases is the sum of the cases of every m.  A stop
     above MAX_RANGE is refused before any m runs.
     """
-    if stop < 1:
-        raise ValueError(f"stop must be positive, got {stop}")
+    _check_positive("stop", stop)
     if stop > MAX_RANGE:
         raise SizeLimitError(f"range m<{stop} exceeds the cap m<{MAX_RANGE}")
     cases = 0
@@ -254,8 +253,7 @@ def verify_classical_reduction(n: int) -> bool:
     Collects the expansion's exponent pairs and demands the multiplicity of
     X^k*Y^(n-k) be exactly binomial(n, k), with no stray pairs.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_positive("n", n)
     _check_exponent_cap(f"2^{n}-1", n)
     counts = exponent_pair_counts((1 << n) - 1)
     return counts == {(k, n - k): binomial(n, k) for k in range(n + 1)}
@@ -288,8 +286,7 @@ def verify_kummer(n_max: int, p: int) -> Report:
     Legendre's or Kummer's theorem.  cases counts the cells compared, up to
     and including the first mismatch.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime("p", p)
     if n_max > MAX_KUMMER_ROWS:
         raise SizeLimitError(f"n_max = {n_max} exceeds the practical limit {MAX_KUMMER_ROWS}")
     name, parameter = "kummer", f"n_max={n_max} p={p}"
@@ -315,12 +312,10 @@ def pascal_mod(rows: int, p: int):
     nor the matrix family, so verify_triangle_matrix_correspondence stays an
     independent check.
     """
-    if rows < 1:
-        raise ValueError(f"rows must be positive, got {rows}")
+    _check_positive("rows", rows)
     if rows > MAX_PASCAL_ROWS:
         raise SizeLimitError(f"rows = {rows} exceeds the limit {MAX_PASCAL_ROWS}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_prime("p", p)
     return _pascal_rows(rows, p)
 
 
@@ -359,7 +354,6 @@ def verify_triangle_matrix_correspondence(n: int) -> Report:
     neither submasks nor Lucas' theorem.  cases counts the cells of the
     lower triangle compared, up to and including the first mismatch.
     """
-    _check_nonnegative("order", n)
     matrix = build_closed_form(n, ONE)
     # 2 marks a stored entry that is not ONE: no residue mod 2 matches it
     patterns = matrix.marked_rows(lambda e: 1 if matrix.argument**e == ONE else 2)

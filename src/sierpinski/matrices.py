@@ -83,6 +83,17 @@ def _pairs(cols: bytes, exps: bytes):
     return zip(memoryview(cols).cast("H"), exps)
 
 
+def _grid(m: MonomialMatrix | PolyMatrix, render=str, sep: str = "\t"):
+    """Lines of the full square grid of either form, render run once per key; zero is "0"."""
+    rows, values = _keyed(m)
+    tokens = {key: render(p) for key, p in values.items()}
+    for cols, keys in rows:
+        cells = ["0"] * m.size
+        for k, key in _pairs(cols, keys):
+            cells[k] = tokens[key]
+        yield sep.join(cells)
+
+
 class MonomialMatrix:
     """2^order x 2^order matrix whose entries are powers of one polynomial.
 
@@ -133,14 +144,7 @@ class MonomialMatrix:
     def to_poly_matrix(self) -> "PolyMatrix":
         return PolyMatrix._raw(self.order, _entry_rows(self))
 
-    def grid(self, render=str, sep: str = "\t"):
-        """Lines of the full square grid, render run once per exponent; zero is "0"."""
-        tokens = {e: render(p) for e, p in self._powers().items()}
-        for cols, exps in zip(self.cols, self.exps):
-            cells = ["0"] * self.size
-            for k, e in _pairs(cols, exps):
-                cells[k] = tokens[e]
-            yield sep.join(cells)
+    grid = _grid  # render runs once per stored exponent
 
     def marked_rows(self, mark):
         """Row j as j + 1 bytes: mark(e) where argument**e is stored, else 0; one mark per e."""
@@ -217,16 +221,10 @@ class PolyMatrix:
         return sum(len(row) for row in self._rows)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.order == other.order and self._rows == other._rows
+        return matrices_equal(self, other) if isinstance(other, PolyMatrix) else NotImplemented
 
     def dump(self) -> str:
-        lines = []
-        for j in range(self.size):
-            row = self._rows[j]
-            lines.append("\t".join(str(row[k]) if k in row else "0" for k in range(self.size)))
-        return "\n".join(lines)
+        return "\n".join(_grid(self))
 
     def __repr__(self) -> str:
         return f"PolyMatrix(order={self.order}, nonzeros={self.nonzero_count()})"

@@ -128,8 +128,9 @@ class TestPolyBasics:
             ("-", lambda: True - X),
             ("*", lambda: X * 1.5),
             ("-", lambda: 2.0 - X),
+            ("-", lambda: X - "a"),
         ],
-        ids=["X+True", "True-X", "X*1.5", "2.0-X"],
+        ids=["X+True", "True-X", "X*1.5", "2.0-X", "X-str"],
     )
     def test_operators_refuse_bool_and_float_operands(self, op, apply):
         with pytest.raises(TypeError, match=f"unsupported operand type\\(s\\) for \\{op}:"):

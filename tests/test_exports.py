@@ -2,6 +2,7 @@
 
 A stale entry only breaks `from module import *`, which nothing else in
 the suite runs; a stale cap name only misleads a reader of the README.
+Every line of the package's source also fits in 100 characters.
 """
 
 import importlib
@@ -37,3 +38,10 @@ def test_every_cap_the_readme_names_is_a_constant():
     modules = [importlib.import_module(module) for module in MODULES]
     missing = {n for n in names if not any(isinstance(getattr(m, n, None), int) for m in modules)}
     assert missing == set()
+
+
+def test_source_lines_fit_in_100_characters():
+    source = Path(sierpinski.__file__).parent
+    long = [f"{path.name}:{i}" for path in sorted(source.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == []

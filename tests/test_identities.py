@@ -230,6 +230,27 @@ class TestVerifyDigitalBinomial:
         assert report.lhs == "1*X^2 + 2*X^1*Y^1 + 1*Y^2"
         assert report.rhs == "1*X^2 + 3*X^1*Y^1 + 1*Y^2"
 
+    @pytest.mark.parametrize(
+        "extra, mismatch",
+        [
+            ({(2, 0): 2, (1, 1): 1}, "coefficient of X^1*Y^1 differs by -1"),
+            ({(2, 0): 2, (0, 0): 5}, "coefficient of X^0*Y^0 differs by -5"),
+        ],
+        ids=["same-degree", "lower-degree"],
+    )
+    def test_first_mismatch_is_the_lowest_differing_term(self, monkeypatch, extra, mismatch):
+        # lowest in the graded order of Poly's text: total degree, then the power of X
+        real = identities.exponent_pair_counts
+
+        def corrupted(m):
+            counts = real(m)
+            for pair, c in extra.items():
+                counts[pair] = counts.get(pair, 0) + c
+            return counts
+
+        monkeypatch.setattr(identities, "exponent_pair_counts", corrupted)
+        assert verify_digital_binomial(3).first_mismatch == mismatch
+
 
 class TestVerifyRange:
     def test_pass_sums_cases(self):
@@ -527,6 +548,10 @@ class TestPascalMod:
         # refused when called, before a row is asked for
         with pytest.raises(ValueError):
             pascal_mod(8, 9)
+
+    def test_rejects_no_rows(self):
+        with pytest.raises(ValueError, match="^rows must be positive, got 0$"):
+            pascal_mod(0, 2)
 
     def test_row_limit(self):
         with pytest.raises(SizeLimitError):

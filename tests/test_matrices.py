@@ -593,6 +593,10 @@ class TestPolyMatrix:
         with pytest.raises(ValueError, match="row 0 has an entry that is not a Poly"):
             PolyMatrix(1, [{0: 1}, {0: 2, 1: 3}])
 
+    def test_never_equals_a_non_matrix(self):
+        assert (identity(2) == 5) is False
+        assert identity(2) != 5
+
     def test_drops_zero_entries(self):
         m = PolyMatrix(1, [{0: ONE}, {0: ZERO, 1: ONE}])
         assert m.nonzero_count() == 2
