@@ -146,10 +146,14 @@ _BLANK_OR_1 = b" " + b"1" * 255
 MAX_ASCII_MOD = 7  # the largest prime whose residues are single digits
 
 
-def render_ascii(cells, modulus: int):
-    """Lines of the triangle, one character a cell; at p=2 a blank stands for residue 0."""
+def _check_ascii(modulus: int) -> None:
     if modulus > MAX_ASCII_MOD:
         raise ValueError(f"ascii format needs single-character residues (mod <= {MAX_ASCII_MOD})")
+
+
+def render_ascii(cells, modulus: int):
+    """Lines of the triangle, one character a cell; at p=2 a blank stands for residue 0."""
+    _check_ascii(modulus)
     table = _BLANK_OR_1 if modulus == 2 else _DIGITS
     return (bytes(row).translate(table).rstrip().decode("ascii") + "\n" for row in cells)
 
@@ -188,8 +192,8 @@ def cmd_triangle(args, out) -> int:
         raise ValueError(f"--source {args.source} requires {flag}")
     if matrix_ones and args.mod != 2:
         raise ValueError("matrix-ones patterns are mod-2 only")
-    if args.format == "ascii" and args.mod > MAX_ASCII_MOD:  # refused before the build
-        raise ValueError(f"ascii format needs single-character residues (mod <= {MAX_ASCII_MOD})")
+    if args.format == "ascii":
+        _check_ascii(args.mod)  # before the build and pascal_mod's own checks
     width = 1 << args.order if matrix_ones else args.rows  # a stream cannot report its length
     if matrix_ones:
         cells = matrices.build_closed_form(args.order, ONE).marked_rows(lambda e: 1)

@@ -24,7 +24,7 @@ import struct
 import sys
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, product
+from itertools import chain
 
 from .algebra import ONE, Poly
 from .digits import _check_nonnegative
@@ -42,9 +42,10 @@ __all__ = [
 ]
 
 MAX_BUILD_ORDER = 12  # 3^12 ~ 5.3e5 stored entries; at most 16, so columns fit uint16
-_CUTOFF, _LEAF = 6, 3  # matmul tallies orders up to 6 whole, and splits others down to order 3
+_LEAF = 3  # matmul splits products down to blocks of order 3 and tallies those
 
 _INC = bytes((e + 1) & 0xFF for e in range(256))  # exponent e -> e + 1
+_ROTATE = bytes(range(256)) * 2  # [256 - i : 512 - i] maps byte e -> e - i mod 256
 _FLIP_BIT = tuple(bytes(v ^ 1 << b for v in range(256)) for b in range(8))  # byte v -> v ^ 2^b
 _HIGH_LANE = 1 if sys.byteorder == "little" else 0  # byte of a uint16 column with bits 8-15
 _POPCOUNT = bytes(v.bit_count() for v in range(256))
@@ -92,6 +93,11 @@ def _grid(m: MonomialMatrix | PolyMatrix, render=str, sep: str = "\t"):
         for k, key in _pairs(cols, keys):
             cells[k] = tokens[key]
         yield sep.join(cells)
+
+
+def _matrix_eq(a, b) -> bool:
+    """a == b for either matrix kind: matrices_equal against a matrix, else NotImplemented."""
+    return matrices_equal(a, b) if isinstance(b, (MonomialMatrix, PolyMatrix)) else NotImplemented
 
 
 class MonomialMatrix:
@@ -145,6 +151,7 @@ class MonomialMatrix:
         return PolyMatrix._raw(self.order, _entry_rows(self))
 
     grid = _grid  # render runs once per stored exponent
+    __eq__ = _matrix_eq
 
     def marked_rows(self, mark):
         """Row j as j + 1 bytes: mark(e) where argument**e is stored, else 0; one mark per e."""
@@ -220,8 +227,7 @@ class PolyMatrix:
     def nonzero_count(self) -> int:
         return sum(len(row) for row in self._rows)
 
-    def __eq__(self, other) -> bool:
-        return matrices_equal(self, other) if isinstance(other, PolyMatrix) else NotImplemented
+    __eq__ = _matrix_eq
 
     def dump(self) -> str:
         return "\n".join(_grid(self))
@@ -321,19 +327,29 @@ def _decode(code: int, w: int, monos: list) -> Poly:
 class _Blocks:
     """The tables of one matmul call, dropped with it: nothing in them refers back to them."""
 
-    def __init__(self, values_a: dict, values_b: dict, w: int, leaf: int):
-        self.values_a, self.values_b, self.w, self.leaf = values_a, values_b, w, leaf
+    def __init__(self, values_a: dict, values_b: dict, units: tuple, w: int):
+        self.values_a, self.values_b, self.w = values_a, values_b, w
+        self.units = units  # per side, ((a, b), c) of a one-term argument c*X^a*Y^b, or None
         self.codes, self.mono = {}, {}  # ka -> kb -> packed product; monomial -> its field index
-        self.blocks, self.quads = {}, {}  # block content -> kept tuple; kept id -> its quadrants
+        self.blocks, self.quads = {}, {}  # block content -> kept tuple; kept id, flag -> quadrants
         self.done, self.sums = {}, {}  # kept id pair -> product rows; each sum as one int object
 
     def intern(self, block: tuple) -> tuple | None:
         """The kept tuple of a block's rows (packed relative columns, keys); None if empty."""
         return self.blocks.setdefault(block, block) if any(c for c, _ in block) else None
 
-    def quadrants(self, block: tuple, t: int) -> tuple:
+    def kept(self, block: list, unit) -> tuple:
+        """(kept tuple, i): block is u^i times it, i its least exponent with a unit u, else 0."""
+        i = min(b"".join(k for _, k in block), default=0) if unit else 0
+        if i:
+            table = _ROTATE[256 - i : 512 - i]  # exponent e -> e - i
+            block = [(c, k.translate(table)) for c, k in block]
+        return self.intern(tuple(block)), i
+
+    def quadrants(self, block: tuple, t: int, unit) -> tuple:
         """Quadrants 11, 12, 21, 22 of a block of order t, interned, columns made relative."""
-        if id(block) not in self.quads:
+        key = id(block), unit is None  # a unit takes each quadrant's least exponent out
+        if key not in self.quads:
             h, lane, left, right = 1 << t - 1, _HIGH_LANE if t > 8 else 1 - _HIGH_LANE, [], []
             for cols, keys in block:
                 s = bisect_left(memoryview(cols).cast("H"), h)
@@ -342,14 +358,14 @@ class _Blocks:
                 left.append((cols[: 2 * s], keys[:s]))
                 right.append((bytes(shifted), keys[s:]))
             parts = left[:h], right[:h], left[h:], right[h:]
-            self.quads[id(block)] = tuple(self.intern(tuple(part)) for part in parts)
-        return self.quads[id(block)]
+            self.quads[key] = tuple(self.kept(part, unit) for part in parts)
+        return self.quads[key]
 
     def product(self, a: tuple, b: tuple, t: int) -> list[dict[int, int]]:
         """Rows {column: code} of kept blocks a times b, both of order t, once per pair."""
         key = id(a), id(b)
         if key not in self.done:
-            self.done[key] = self.split(a, b, t) if t > self.leaf else [*self.tally(a, b, 1 << t)]
+            self.done[key] = self.split(a, b, t) if t > _LEAF else [*self.tally(a, b, 1 << t)]
         return self.done[key]
 
     def plus(self, x: dict, y: dict) -> dict:
@@ -359,14 +375,47 @@ class _Blocks:
         s = x | {l: self.sums.setdefault(v, v) for l, c in y.items() for v in (x.get(l, 0) + c,)}
         return s if all(s.values()) else {l: c for l, c in s.items() if c}
 
+    def encode(self, terms: dict) -> int:
+        return sum(c << self.w * self.mono.setdefault(m, len(self.mono)) for m, c in terms.items())
+
+    def scaled(self, rows: list, offsets: list) -> list[dict[int, int]]:
+        """rows times the sum of u^i v^j over the offsets (i, j), u and v the sides' units.
+
+        Each u^i v^j is one term, so a table maps each distinct code of rows
+        to its product with that sum: decoded once, its monomials moved and
+        its coefficients multiplied, and re-encoded in this call's fields.
+        """
+        if offsets == [(0, 0)]:
+            return rows
+        ((xa, ya), ca), ((xb, yb), cb) = (unit or ((0, 0), 1) for unit in self.units)
+        monos, table = list(self.mono), {}
+        for code in {c for row in rows for c in row.values()}:
+            terms = _decode(code, self.w, monos)._terms.items()
+            table[code] = sum(self.encode({(x + i * xa + j * xb, y + i * ya + j * yb):
+                                           c * ca**i * cb**j for (x, y), c in terms})
+                              for i, j in offsets)
+        return [{l: v for l, c in row.items() if (v := table[c])} for row in rows]
+
     def split(self, a: tuple, b: tuple, t: int) -> list[dict[int, int]]:
-        """C_rc = A_r0 B_0c + A_r1 B_1c over the quadrants, C_r1's columns moved right by h."""
-        qa, qb, h, rows = self.quadrants(a, t), self.quadrants(b, t), 1 << t - 1, []
+        """C_rc = A_r0 B_0c + A_r1 B_1c over the quadrants, C_r1's columns moved right by h.
+
+        (u^i A)(v^j B) = u^i v^j (AB): terms of C_rc with one kept pair share its product.
+        """
+        qa, qb = self.quadrants(a, t, self.units[0]), self.quadrants(b, t, self.units[1])
+        h, rows = 1 << t - 1, []
         for r in (0, 1):
-            parts = [[{}] * h, [{}] * h]  # the rows of C_r0 and of C_r1
-            for c, m in product((0, 1), repeat=2):
-                if None not in (x := qa[2 * r + m], y := qb[2 * m + c]):
-                    parts[c] = list(map(self.plus, parts[c], self.product(x, y, t - 1)))
+            parts = []  # the rows of C_r0 and of C_r1
+            for c in (0, 1):
+                pairs = {}  # kept id pair -> [kept a, kept b, offsets]
+                for m in (0, 1):
+                    (x, i), (y, j) = qa[2 * r + m], qb[2 * m + c]
+                    if None not in (x, y):
+                        pairs.setdefault((id(x), id(y)), [x, y, []])[2].append((i, j))
+                part = [{}] * h
+                for x, y, offsets in pairs.values():
+                    part = list(map(self.plus, part,
+                                    self.scaled(self.product(x, y, t - 1), offsets)))
+                parts.append(part)
             rows += (x | {l + h: v for l, v in y.items()} if y else x for x, y in zip(*parts))
         return rows
 
@@ -385,44 +434,59 @@ class _Blocks:
                     code = codes.get(kb)
                     if code is None:
                         terms = (self.values_a[ka] * self.values_b[kb])._terms
-                        code = codes[kb] = sum(c << self.w * self.mono.setdefault(m, len(self.mono))
-                                               for m, c in terms.items())
+                        code = codes[kb] = self.encode(terms)
                     acc[l] = acc.get(l, 0) + count * code
             yield acc if all(acc.values()) else {l: c for l, c in acc.items() if c}
+
+
+def _unit(m: MonomialMatrix | PolyMatrix):
+    """((a, b), c) when m is a MonomialMatrix of one term c*X^a*Y^b, else None."""
+    terms = m.argument._terms if isinstance(m, MonomialMatrix) else {}
+    return next(iter(terms.items())) if len(terms) == 1 else None
 
 
 def matmul(a, b) -> PolyMatrix:
     """Exact product of two equal-order lower-triangular matrices.
 
     Entry (j, l) is the definitional sum over k of a[j][k] * b[k][l], taken
-    by blocks: above order 6 both operands split into 2x2 quadrants, C_rc =
-    A_r0 B_0c + A_r1 B_1c, down to order 3.  A block is interned by its
-    content, packed relative columns and keys (exponents, or ids of a
-    PolyMatrix's distinct entries), and each pair is multiplied once per
-    call.  A leaf tallies (key of a[j][k], key of b[k][l], l) over every k
-    in row j; each distinct key pair is multiplied out once with
-    Poly.__mul__ and enters entry l times its count as one packed int: the
-    i-th distinct monomial of the call owns the w-bit field at bit w*i.
+    by blocks: above order 3 both operands split into 2x2 quadrants, C_rc =
+    A_r0 B_0c + A_r1 B_1c.  Where an operand's argument is one term u, a
+    block is stored as u^i times its kept block, i being its least exponent.
+    A block is interned by its content, packed relative columns and keys
+    (exponents, or ids of a PolyMatrix's distinct entries), and each pair of
+    kept blocks is multiplied once per call.  A leaf tallies (key of
+    a[j][k], key of b[k][l], l) over every k in row j; each distinct key
+    pair is multiplied out once with Poly.__mul__ and enters entry l times
+    its count as one packed int: the i-th distinct monomial of the call
+    owns the w-bit field at bit w*i.
 
     Exactness: distinct monomials own distinct fields, integer addition is
     associative, and an output coefficient sums at most 2^order products,
     each at most the largest coefficient 1-norm of a's entries times b's.
-    w bits hold that with a sign; each distinct entry is decoded once.
+    A kept block's entries have no larger norm, and every code is a partial
+    sum of those products, so w bits hold each with a sign; each distinct
+    entry is decoded once.
 
-    Independence: a product is reused only for byte-identical blocks, which
-    is memoisation of a pure function, and every (j, k, l) lies in exactly
-    one leaf product, so S_n(x) S_n(y) is still the sum over k.  Nothing
-    assumes the group law or the Kronecker mixed-product rule: x*S_t and
-    S_t are different blocks, multiplied apart.  The other side comes from
+    Independence: a product is reused for blocks that are byte-identical
+    once their least exponent is taken out, and the factor is put back
+    exactly, since (u^i A)(v^j B) = u^i v^j (AB) for any matrices A and B.
+    Every (j, k, l) still lies in exactly one block term of each level, so
+    S_n(x) S_n(y) is still the sum over k.  S_t and x*S_t are found equal up to that
+    factor by comparing bytes; nothing assumes the group law or the
+    Kronecker mixed-product rule.  The other side comes from
     build_recursive(n, X+Y) and (X+Y)**e.
     """
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
     (rows_a, values_a), (rows_b, values_b) = _keyed(a), _keyed(b)
+    units = _unit(a), _unit(b)
+    for m, values, unit in zip((a, b), (values_a, values_b), units):
+        if unit:  # a kept block's exponents run from 0 up to the largest stored one
+            values |= {e: m.argument**e for e in range(max(values, default=0)) if e not in values}
     norm = [max((sum(map(abs, p._terms.values())) for p in v.values()), default=0)
             for v in (values_a, values_b)]
     w = (norm[0] * norm[1] << a.order).bit_length() + 1
-    tables = _Blocks(values_a, values_b, w, a.order if a.order <= _CUTOFF else _LEAF)
+    tables = _Blocks(values_a, values_b, units, w)
     kept = tables.intern(rows_a), tables.intern(rows_b)
     acc = [{}] * a.size if None in kept else tables.product(*kept, a.order)
     monos, tables = list(tables.mono), None  # the block tables go before the decoding

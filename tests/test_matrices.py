@@ -203,6 +203,13 @@ class TestMatricesEqualAcrossRepresentations:
         wrong = PolyMatrix(4, rows)
         assert not matrices_equal(wrong, rhs) and not matrices_equal(rhs, wrong)
 
+    def test_eq_is_matrices_equal_for_either_kind(self):
+        m, p = build_recursive(3, X), build_closed_form(3, X).to_poly_matrix()
+        assert m == build_closed_form(3, X) and m == p and p == m
+        assert m != build_recursive(3, Y) and p != build_recursive(3, Y)
+        assert MonomialMatrix(1, ONE, [[(0, 0)], [(0, 1), (1, 0)]]) == build_recursive(1, ONE)
+        assert (m == 5) is False and m != "S_3"
+
     def test_entry_where_the_monomial_matrix_stores_none_differs(self):
         m = build_recursive(3, X)
         rows = [m.to_poly_matrix().row(j) for j in range(m.size)]
@@ -326,11 +333,12 @@ class TestMatMul:
 
 
 class TestBlockRecursion:
-    """Products above order 6 are summed by quadrants, each pair of distinct blocks once.
+    """Products above order 3 are summed by quadrants, each pair of distinct kept blocks once.
 
-    In S_7(x) the top split has A22 == A11 and A21 == x*A11, so a block
-    product reused for blocks that match only in their columns, or only up
-    to a shift, gives a wrong entry here.
+    In S_7(x) the top split has A22 == A11 and A21 == x*A11: A21 is kept as
+    A11 with the factor x put back.  A block product reused for blocks that
+    match only in their columns, or put back with a wrong factor, gives a
+    wrong entry here.
     """
 
     # (row, column) in A11, A21 and A22 of the top split, and in A22 of A22
@@ -372,6 +380,29 @@ class TestBlockRecursion:
             assert matmul(left, b) == sparse_product(left, b)
         assert matmul(a, b) != matmul(exact, b)
 
+    @pytest.mark.parametrize("x, y", [(2 * X, -3 * Y), (-3 * Y, 2 * X), (X * Y, -(X * Y)),
+                                      (X * Y, 2 * Y), (X, X + Y), (X + Y, X)])
+    def test_single_term_arguments_against_the_oracle(self, x, y):
+        # coefficients other than 1 put back c^i, a two-variable term moves both exponents,
+        # and a multi-term argument beside a single-term one keeps its blocks whole
+        a, b = build_recursive(7, x), build_closed_form(7, y)
+        assert matmul(a, b) == sparse_product(a, b)
+
+    def test_least_stored_exponent_above_zero(self):
+        # each quadrant of `raised` carries a factor u^3 or more; `scattered` has distinct blocks
+        rng = random.Random(25)
+        rows = build_recursive(6, X).rows
+        raised = MonomialMatrix(6, -2 * X, [[(k, e + 3) for k, e in row] for row in rows])
+        scattered = MonomialMatrix(6, 3 * X * Y, [[(k, rng.randrange(1, 5)) for k, _ in row]
+                                                 for row in rows])
+        y = build_recursive(6, Y)
+        for a, b in ((raised, y), (y, raised), (raised, scattered), (scattered, scattered)):
+            assert matmul(a, b) == sparse_product(a, b)
+
+    def test_high_degree_single_terms_at_order_8(self):
+        a, b = build_recursive(8, X**100), build_recursive(8, Y**100)
+        assert matmul(a, b) == sparse_product(a, b)
+
     def test_no_state_outlives_a_call(self, monkeypatch):
         a, b = build_recursive(8, X), build_recursive(8, Y)
         calls = []
@@ -382,8 +413,10 @@ class TestBlockRecursion:
             calls.clear()
             matmul(a, b)
             counts.append(len(calls))
-        # the powers of X and Y, and each distinct exponent pair once per call: as the plain tally
-        assert counts == [97, 97]
+        # 26 for the powers of X and 26 for those of Y, then each distinct exponent pair of
+        # the one leaf product S_3(X) S_3(Y), 10: pairs are counted after the least exponent
+        # of each block is taken out, so every level reuses that leaf
+        assert counts == [62, 62]
         monkeypatch.undo()
         gc.disable()
         tracemalloc.start()
@@ -397,6 +430,20 @@ class TestBlockRecursion:
             tracemalloc.stop()
             gc.enable()
         assert left < 64 * 1024  # no reference cycle keeps the block tables alive
+
+    def test_order_10_product_peak(self):
+        # one block product a level keeps the memo small; with a product for each
+        # exponent-shifted pair of blocks this call peaked at 7.3 MB
+        a, b = build_recursive(10, X), build_recursive(10, Y)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            prod = matmul(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrices_equal(prod, build_recursive(10, X + Y))
+        assert peak < 6 * 2**20
 
 
 class TestStructure:
