@@ -23,7 +23,6 @@ import operator
 import struct
 import sys
 from bisect import bisect_left
-from collections import Counter
 from itertools import chain
 
 from .algebra import ONE, Poly
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 MAX_BUILD_ORDER = 12  # 3^12 ~ 5.3e5 stored entries; at most 16, so columns fit uint16
-_LEAF = 3  # matmul splits products down to blocks of order 3 and tallies those
 
 _INC = bytes((e + 1) & 0xFF for e in range(256))  # exponent e -> e + 1
 _ROTATE = bytes(range(256)) * 2  # [256 - i : 512 - i] maps byte e -> e - i mod 256
@@ -118,9 +116,11 @@ class MonomialMatrix:
         rows = [tuple(row) for row in rows]
         columns = [[k for k, _ in row] for row in rows]
         _check_rows(order, columns)
-        for j, cols in enumerate(columns):
+        for j, (cols, row) in enumerate(zip(columns, rows)):
             if cols != sorted(set(cols)):
                 raise ValueError(f"row {j} has columns repeated or out of order")
+            if {type(e) for _, e in row} - {int}:  # bytes() would take a bool as 0/1
+                raise ValueError(f"row {j} has an exponent that is not an int")
         self.order = order
         self.argument = argument
         self.cols = tuple(map(_pack_columns, columns))
@@ -330,7 +330,7 @@ class _Blocks:
     def __init__(self, values_a: dict, values_b: dict, units: tuple, w: int):
         self.values_a, self.values_b, self.w = values_a, values_b, w
         self.units = units  # per side, ((a, b), c) of a one-term argument c*X^a*Y^b, or None
-        self.codes, self.mono = {}, {}  # ka -> kb -> packed product; monomial -> its field index
+        self.mono = {}  # monomial -> its field index
         self.blocks, self.quads = {}, {}  # block content -> kept tuple; kept id, flag -> quadrants
         self.done, self.sums = {}, {}  # kept id pair -> product rows; each sum as one int object
 
@@ -365,7 +365,11 @@ class _Blocks:
         """Rows {column: code} of kept blocks a times b, both of order t, once per pair."""
         key = id(a), id(b)
         if key not in self.done:
-            self.done[key] = self.split(a, b, t) if t > _LEAF else [*self.tally(a, b, 1 << t)]
+            if t:
+                self.done[key] = self.split(a, b, t)
+            else:  # 1x1: one entry each side; a zero product (0**e times anything) is an empty row
+                code = self.encode((self.values_a[a[0][1][0]] * self.values_b[b[0][1][0]])._terms)
+                self.done[key] = [{0: code} if code else {}]
         return self.done[key]
 
     def plus(self, x: dict, y: dict) -> dict:
@@ -419,25 +423,6 @@ class _Blocks:
             rows += (x | {l + h: v for l, v in y.items()} if y else x for x, y in zip(*parts))
         return rows
 
-    def tally(self, rows_a: tuple, rows_b: tuple, size: int):
-        """Yield the rows {column: code} of a product, zeros (as in S_n(x) S_n(-x)) dropped."""
-        coded_b = [[kb * size + l for l, kb in _pairs(*r)] for r in rows_b]  # (kb, l) as one int
-        for row in rows_a:
-            by_ka: dict[int, list] = {}
-            for k, ka in _pairs(*row):
-                by_ka.setdefault(ka, []).append(coded_b[k])
-            acc: dict[int, int] = {}
-            for ka, lists in by_ka.items():
-                codes = self.codes.setdefault(ka, {})
-                for key, count in Counter(chain.from_iterable(lists)).items():
-                    kb, l = divmod(key, size)
-                    code = codes.get(kb)
-                    if code is None:
-                        terms = (self.values_a[ka] * self.values_b[kb])._terms
-                        code = codes[kb] = self.encode(terms)
-                    acc[l] = acc.get(l, 0) + count * code
-            yield acc if all(acc.values()) else {l: c for l, c in acc.items() if c}
-
 
 def _unit(m: MonomialMatrix | PolyMatrix):
     """((a, b), c) when m is a MonomialMatrix of one term c*X^a*Y^b, else None."""
@@ -449,16 +434,15 @@ def matmul(a, b) -> PolyMatrix:
     """Exact product of two equal-order lower-triangular matrices.
 
     Entry (j, l) is the definitional sum over k of a[j][k] * b[k][l], taken
-    by blocks: above order 3 both operands split into 2x2 quadrants, C_rc =
-    A_r0 B_0c + A_r1 B_1c.  Where an operand's argument is one term u, a
-    block is stored as u^i times its kept block, i being its least exponent.
-    A block is interned by its content, packed relative columns and keys
-    (exponents, or ids of a PolyMatrix's distinct entries), and each pair of
-    kept blocks is multiplied once per call.  A leaf tallies (key of
-    a[j][k], key of b[k][l], l) over every k in row j; each distinct key
-    pair is multiplied out once with Poly.__mul__ and enters entry l times
-    its count as one packed int: the i-th distinct monomial of the call
-    owns the w-bit field at bit w*i.
+    by blocks: both operands split into 2x2 quadrants, C_rc = A_r0 B_0c +
+    A_r1 B_1c, down to 1x1 blocks.  Where an operand's argument is one term
+    u, a block is stored as u^i times its kept block, i being its least
+    exponent, so each of its 1x1 blocks is kept as u^0.  A block is interned
+    by its content, packed relative columns and keys (exponents, or ids of a
+    PolyMatrix's distinct entries), and each pair of kept blocks is
+    multiplied once per call.  A 1x1 product is one Poly.__mul__, packed as
+    one int: the i-th distinct monomial of the call owns the w-bit field at
+    bit w*i, and the levels above add and scale those ints.
 
     Exactness: distinct monomials own distinct fields, integer addition is
     associative, and an output coefficient sums at most 2^order products,
@@ -480,9 +464,9 @@ def matmul(a, b) -> PolyMatrix:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
     (rows_a, values_a), (rows_b, values_b) = _keyed(a), _keyed(b)
     units = _unit(a), _unit(b)
-    for m, values, unit in zip((a, b), (values_a, values_b), units):
-        if unit:  # a kept block's exponents run from 0 up to the largest stored one
-            values |= {e: m.argument**e for e in range(max(values, default=0)) if e not in values}
+    for values, unit in zip((values_a, values_b), units):
+        if unit:  # a split unit side's 1x1 blocks are kept with exponent 0
+            values[0] = ONE
     norm = [max((sum(map(abs, p._terms.values())) for p in v.values()), default=0)
             for v in (values_a, values_b)]
     w = (norm[0] * norm[1] << a.order).bit_length() + 1

@@ -1,0 +1,107 @@
+"""A table of hand-made faults in src/sierpinski, and the tests that must catch each.
+
+Each row names a file under src/sierpinski, an exact `old` text that occurs
+there once, the `new` text that replaces it, and test ids that each fail once
+it does.  pytest does not collect this file; tests/test_mutants.py checks
+that every `old` still occurs once and every named test still exists.
+
+Run from the repository root, for every row or the named ones:
+
+    python tests/mutants.py [NAME ...]
+
+Each row is applied alone to a copy of src/ in a temporary directory, and
+`python -m pytest -q -x` runs its tests with PYTHONPATH set to the copy.  The
+row is killed when a test fails and survives when all pass.  The runner
+prints each row's verdict and wall time, then the counts, and exits 1 if a
+row survived or its tests could not run.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/sierpinski
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant("matmul drops the put-back factor u^i v^j", "matrices.py",
+           "((xa, ya), ca), ((xb, yb), cb) = (unit or ((0, 0), 1) for unit in self.units)",
+           "((xa, ya), ca), ((xb, yb), cb) = ((0, 0), 1), ((0, 0), 1)",
+           ("tests/test_matrices.py::TestMatMul::test_group_law_small_orders",
+            "tests/test_matrices.py::TestBlockRecursion::test_one_corrupted_exponent_in_b22")),
+    Mutant("matmul puts back u^i without its coefficient c^i", "matrices.py",
+           "c * ca**i * cb**j for", "c for",
+           ("tests/test_matrices.py::TestMatMul::test_inverse",
+            "tests/test_matrices.py::TestBlockRecursion::test_least_stored_exponent_above_zero")),
+    Mutant("matmul takes a multi-term argument's first term as its unit", "matrices.py",
+           "if len(terms) == 1 else None", "if terms else None",
+           ("tests/test_matrices.py::TestMatMul::test_against_dense_oracle",)),
+    Mutant("matmul has no value for a unit side's kept exponent 0", "matrices.py",
+           "values[0] = ONE", "pass",
+           ("tests/test_matrices.py::TestBlockRecursion::test_least_stored_exponent_above_zero",)),
+    Mutant("MonomialMatrix packs bool and float exponents", "matrices.py",
+           "{type(e) for _, e in row} - {int}", "{type(e) for _, e in row} - {int, bool, float}",
+           ("tests/test_matrices.py::TestPackedRows"
+            "::test_pair_constructor_refuses_exponent_that_is_not_an_int",)),
+    Mutant("verify_group_law compares the product with itself", "identities.py",
+           "build_recursive(order, X + Y))", "matmul(x, build_recursive(order, Y)))",
+           ("tests/test_identities.py::TestVerifyGroupLaw"
+            "::test_one_corrupted_exponent_in_s_y_fails",)),
+    Mutant("carry_free tests a | b for a & b", "digits.py",
+           "return not a & b", "return not a | b",
+           ("tests/test_digits.py::TestCarryFree::test_eight_plus_two",
+            "tests/test_identities.py::TestVerifyAdditivityForm::test_m_five")),
+    Mutant("carry_count counts k mod q >= n mod q as a carry", "digits.py",
+           "count += k % q > n % q", "count += k % q >= n % q",
+           ("tests/test_digits.py::TestCarryCount::test_two_plus_two",
+            "tests/test_identities.py::TestVerifyKummer::test_worked_example")),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'error' (pytest neither passed nor failed) for one row."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "sierpinski" / mutant.file
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        status = subprocess.run(argv, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(src)},
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    return {0: "survived", 1: "killed"}.get(status, "error")
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such row: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    verdicts = []
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        start = time.perf_counter()
+        verdicts.append(run(mutant))
+        print(f"{verdicts[-1]:8}  {time.perf_counter() - start:5.1f} s  {mutant.name}", flush=True)
+    counts = {v: verdicts.count(v) for v in ("killed", "survived", "error")}
+    print(", ".join(f"{n} {v}" for v, n in counts.items()))
+    return 0 if counts["killed"] == len(verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

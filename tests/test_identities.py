@@ -491,6 +491,21 @@ class TestVerifyGroupLaw:
         monkeypatch.setattr(identities, "build_recursive", build)
         assert not verify_group_law(MAX_BUILD_ORDER)
 
+    def test_one_corrupted_exponent_in_s_y_fails(self, monkeypatch):
+        # S_n(Y) enters only the group-law product, so this fails only while that
+        # product is compared with a side built without it
+        def build(n, arg):
+            m = build_recursive(n, arg)
+            if arg != Y:
+                return m
+            rows = [list(row) for row in m.rows]
+            k, e = rows[21][2]
+            rows[21][2] = (k, e + 1)
+            return MonomialMatrix(n, arg, rows)
+
+        monkeypatch.setattr(identities, "build_recursive", build)
+        assert not verify_group_law(5)
+
 
 class TestPascalMod:
     def test_row_four(self):

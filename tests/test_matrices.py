@@ -333,7 +333,7 @@ class TestMatMul:
 
 
 class TestBlockRecursion:
-    """Products above order 3 are summed by quadrants, each pair of distinct kept blocks once.
+    """Products are summed by quadrants down to 1x1 blocks, each pair of distinct kept blocks once.
 
     In S_7(x) the top split has A22 == A11 and A21 == x*A11: A21 is kept as
     A11 with the factor x put back.  A block product reused for blocks that
@@ -389,15 +389,18 @@ class TestBlockRecursion:
         assert matmul(a, b) == sparse_product(a, b)
 
     def test_least_stored_exponent_above_zero(self):
-        # each quadrant of `raised` carries a factor u^3 or more; `scattered` has distinct blocks
+        # each quadrant of `raised` carries a factor u^3 or more; `scattered` has distinct blocks.
+        # Order 0 is never split, so its one stored exponent (3 in `raised`) is multiplied as
+        # stored; from order 1 up every 1x1 block is kept as u^0 and the factor put back
         rng = random.Random(25)
-        rows = build_recursive(6, X).rows
-        raised = MonomialMatrix(6, -2 * X, [[(k, e + 3) for k, e in row] for row in rows])
-        scattered = MonomialMatrix(6, 3 * X * Y, [[(k, rng.randrange(1, 5)) for k, _ in row]
-                                                 for row in rows])
-        y = build_recursive(6, Y)
-        for a, b in ((raised, y), (y, raised), (raised, scattered), (scattered, scattered)):
-            assert matmul(a, b) == sparse_product(a, b)
+        for n in (0, 1, 2, 6):
+            rows = build_recursive(n, X).rows
+            raised = MonomialMatrix(n, -2 * X, [[(k, e + 3) for k, e in row] for row in rows])
+            scattered = MonomialMatrix(n, 3 * X * Y, [[(k, rng.randrange(1, 5)) for k, _ in row]
+                                                     for row in rows])
+            y = build_recursive(n, Y)
+            for a, b in ((raised, y), (y, raised), (raised, scattered), (scattered, scattered)):
+                assert matmul(a, b) == sparse_product(a, b)
 
     def test_high_degree_single_terms_at_order_8(self):
         a, b = build_recursive(8, X**100), build_recursive(8, Y**100)
@@ -413,10 +416,9 @@ class TestBlockRecursion:
             calls.clear()
             matmul(a, b)
             counts.append(len(calls))
-        # 26 for the powers of X and 26 for those of Y, then each distinct exponent pair of
-        # the one leaf product S_3(X) S_3(Y), 10: pairs are counted after the least exponent
-        # of each block is taken out, so every level reuses that leaf
-        assert counts == [62, 62]
+        # 26 for the powers of X and 26 for those of Y, then one 1x1 product: each 1x1 block
+        # is kept with its exponent taken out, so every level reuses that one leaf X^0 Y^0
+        assert counts == [53, 53]
         monkeypatch.undo()
         gc.disable()
         tracemalloc.start()
@@ -526,7 +528,7 @@ class TestPackedRows:
             MonomialMatrix(2, X, [[(0, 0)]])
 
     def test_pair_constructor_refuses_column_outside_the_row(self):
-        # columns index the tally keys kb * size + l, so l < size must hold
+        # a column outside [0, j] would fall outside the row's grid line and matmul's quadrants
         for row in ([(0, 1), (1, 0), (5, 0)], [(-1, 1), (1, 0)], [(0, 1), (70000, 0)], [(0.0, 1)]):
             with pytest.raises(ValueError, match="row 1 has a column above the diagonal"):
                 MonomialMatrix(1, X, [[(0, 0)], row])
@@ -539,6 +541,12 @@ class TestPackedRows:
     def test_pair_constructor_refuses_exponent_outside_a_byte(self):
         for e in (256, -1):
             with pytest.raises(ValueError, match="range\\(0, 256\\)"):
+                MonomialMatrix(1, X, [[(0, 0)], [(0, e), (1, 0)]])
+
+    def test_pair_constructor_refuses_exponent_that_is_not_an_int(self):
+        # bytes() takes True as exponent 1 and refuses 1.0 with a TypeError, not a ValueError
+        for e in (True, False, 1.0, "1", None):
+            with pytest.raises(ValueError, match="row 1 has an exponent that is not an int"):
                 MonomialMatrix(1, X, [[(0, 0)], [(0, e), (1, 0)]])
 
     def test_builders_refuse_an_argument_that_is_not_a_poly(self, monkeypatch):
