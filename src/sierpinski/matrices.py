@@ -23,9 +23,8 @@ import operator
 import struct
 import sys
 from bisect import bisect_left
-from itertools import chain
 
-from .algebra import ONE, Poly
+from .algebra import ONE, ZERO, Poly
 from .digits import _check_nonnegative
 from .errors import SizeLimitError
 
@@ -312,27 +311,14 @@ def _keyed(m: MonomialMatrix | PolyMatrix):
     return rows, dict(enumerate(keys))
 
 
-def _decode(code: int, w: int, monos: list) -> Poly:
-    """Invert the packing: code sums c << w*i over the terms c * monos[i], c signed, w bits.
-
-    Adding 2^(w-1) to every field makes each a plain base-2^w digit, so the
-    binary string of the sum splits into the fields in one pass.
-    """
-    n, half = len(monos), 1 << (w - 1)
-    bits = format(code + half * ((1 << w * n) - 1) // ((1 << w) - 1), f"0{w * n}b")
-    fields = (int(bits[i : i + w], 2) - half for i in range(0, w * n, w))
-    return Poly._raw({m: c for m, c in zip(reversed(monos), fields) if c})
-
-
 class _Blocks:
     """The tables of one matmul call, dropped with it: nothing in them refers back to them."""
 
-    def __init__(self, values_a: dict, values_b: dict, units: tuple, w: int):
-        self.values_a, self.values_b, self.w = values_a, values_b, w
-        self.units = units  # per side, ((a, b), c) of a one-term argument c*X^a*Y^b, or None
-        self.mono = {}  # monomial -> its field index
+    def __init__(self, values_a: dict, values_b: dict, units: tuple):
+        self.values_a, self.values_b = values_a, values_b
+        self.units = units  # per side, the argument of a one-term MonomialMatrix, or None
         self.blocks, self.quads = {}, {}  # block content -> kept tuple; kept id, flag -> quadrants
-        self.done, self.sums = {}, {}  # kept id pair -> product rows; each sum as one int object
+        self.done, self.entries = {}, {}  # kept id pair -> product rows; each scaled entry by value
 
     def intern(self, block: tuple) -> tuple | None:
         """The kept tuple of a block's rows (packed relative columns, keys); None if empty."""
@@ -361,46 +347,41 @@ class _Blocks:
             self.quads[key] = tuple(self.kept(part, unit) for part in parts)
         return self.quads[key]
 
-    def product(self, a: tuple, b: tuple, t: int) -> list[dict[int, int]]:
-        """Rows {column: code} of kept blocks a times b, both of order t, once per pair."""
+    def product(self, a: tuple, b: tuple, t: int) -> list[dict[int, Poly]]:
+        """Rows {column: Poly} of kept blocks a times b, both of order t, once per pair."""
         key = id(a), id(b)
         if key not in self.done:
             if t:
                 self.done[key] = self.split(a, b, t)
             else:  # 1x1: one entry each side; a zero product (0**e times anything) is an empty row
-                code = self.encode((self.values_a[a[0][1][0]] * self.values_b[b[0][1][0]])._terms)
-                self.done[key] = [{0: code} if code else {}]
+                p = self.values_a[a[0][1][0]] * self.values_b[b[0][1][0]]
+                self.done[key] = [{0: p} if p else {}]
         return self.done[key]
 
     def plus(self, x: dict, y: dict) -> dict:
-        """The sum of two {column: code} rows, zeros dropped; an empty row gives the other."""
+        """The sum of two {column: Poly} rows, zeros dropped; an empty row gives the other."""
         if not x or not y:
             return x or y
-        s = x | {l: self.sums.setdefault(v, v) for l, c in y.items() for v in (x.get(l, 0) + c,)}
-        return s if all(s.values()) else {l: c for l, c in s.items() if c}
+        s = x | {l: x[l] + p if l in x else p for l, p in y.items()}
+        return s if all(s.values()) else {l: p for l, p in s.items() if p}
 
-    def encode(self, terms: dict) -> int:
-        return sum(c << self.w * self.mono.setdefault(m, len(self.mono)) for m, c in terms.items())
-
-    def scaled(self, rows: list, offsets: list) -> list[dict[int, int]]:
+    def scaled(self, rows: list, offsets: list) -> list[dict[int, Poly]]:
         """rows times the sum of u^i v^j over the offsets (i, j), u and v the sides' units.
 
-        Each u^i v^j is one term, so a table maps each distinct code of rows
-        to its product with that sum: decoded once, its monomials moved and
-        its coefficients multiplied, and re-encoded in this call's fields.
+        Each distinct entry of rows is multiplied by that one factor once, and
+        the result interned by value, so equal entries stay one object.
         """
         if offsets == [(0, 0)]:
             return rows
-        ((xa, ya), ca), ((xb, yb), cb) = (unit or ((0, 0), 1) for unit in self.units)
-        monos, table = list(self.mono), {}
-        for code in {c for row in rows for c in row.values()}:
-            terms = _decode(code, self.w, monos)._terms.items()
-            table[code] = sum(self.encode({(x + i * xa + j * xb, y + i * ya + j * yb):
-                                           c * ca**i * cb**j for (x, y), c in terms})
-                              for i, j in offsets)
-        return [{l: v for l, c in row.items() if (v := table[c])} for row in rows]
+        u, v = (unit or ONE for unit in self.units)
+        factor = sum((u**i * v**j for i, j in offsets), ZERO)
+        table = {}
+        for p in {id(p): p for row in rows for p in row.values()}.values():
+            q = p * factor
+            table[id(p)] = self.entries.setdefault(q, q)
+        return [{l: q for l, p in row.items() if (q := table[id(p)])} for row in rows]
 
-    def split(self, a: tuple, b: tuple, t: int) -> list[dict[int, int]]:
+    def split(self, a: tuple, b: tuple, t: int) -> list[dict[int, Poly]]:
         """C_rc = A_r0 B_0c + A_r1 B_1c over the quadrants, C_r1's columns moved right by h.
 
         (u^i A)(v^j B) = u^i v^j (AB): terms of C_rc with one kept pair share its product.
@@ -424,10 +405,18 @@ class _Blocks:
         return rows
 
 
-def _unit(m: MonomialMatrix | PolyMatrix):
-    """((a, b), c) when m is a MonomialMatrix of one term c*X^a*Y^b, else None."""
+def _unit(m: MonomialMatrix | PolyMatrix) -> Poly | None:
+    """The argument of m when m is a MonomialMatrix of one term c*X^a*Y^b, else None."""
     terms = m.argument._terms if isinstance(m, MonomialMatrix) else {}
-    return next(iter(terms.items())) if len(terms) == 1 else None
+    return m.argument if len(terms) == 1 else None
+
+
+def _check_operands(a, b) -> None:
+    """Refuse an operand that is not a matrix of either kind, naming it, with TypeError."""
+    for name, m in (("first", a), ("second", b)):
+        if not isinstance(m, (MonomialMatrix, PolyMatrix)):
+            raise TypeError(f"the {name} operand must be a MonomialMatrix or a PolyMatrix, "
+                            f"got {type(m).__name__}")
 
 
 def matmul(a, b) -> PolyMatrix:
@@ -440,16 +429,11 @@ def matmul(a, b) -> PolyMatrix:
     exponent, so each of its 1x1 blocks is kept as u^0.  A block is interned
     by its content, packed relative columns and keys (exponents, or ids of a
     PolyMatrix's distinct entries), and each pair of kept blocks is
-    multiplied once per call.  A 1x1 product is one Poly.__mul__, packed as
-    one int: the i-th distinct monomial of the call owns the w-bit field at
-    bit w*i, and the levels above add and scale those ints.
+    multiplied once per call.  A 1x1 product is one Poly.__mul__; the levels
+    above add those entries, multiply each distinct one once by its block's
+    factor and keep equal results as one object.
 
-    Exactness: distinct monomials own distinct fields, integer addition is
-    associative, and an output coefficient sums at most 2^order products,
-    each at most the largest coefficient 1-norm of a's entries times b's.
-    A kept block's entries have no larger norm, and every code is a partial
-    sum of those products, so w bits hold each with a sign; each distinct
-    entry is decoded once.
+    Every step is a Poly operation, so the product is exact.
 
     Independence: a product is reused for blocks that are byte-identical
     once their least exponent is taken out, and the factor is put back
@@ -460,6 +444,7 @@ def matmul(a, b) -> PolyMatrix:
     Kronecker mixed-product rule.  The other side comes from
     build_recursive(n, X+Y) and (X+Y)**e.
     """
+    _check_operands(a, b)
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
     (rows_a, values_a), (rows_b, values_b) = _keyed(a), _keyed(b)
@@ -467,15 +452,11 @@ def matmul(a, b) -> PolyMatrix:
     for values, unit in zip((values_a, values_b), units):
         if unit:  # a split unit side's 1x1 blocks are kept with exponent 0
             values[0] = ONE
-    norm = [max((sum(map(abs, p._terms.values())) for p in v.values()), default=0)
-            for v in (values_a, values_b)]
-    w = (norm[0] * norm[1] << a.order).bit_length() + 1
-    tables = _Blocks(values_a, values_b, units, w)
+    tables = _Blocks(values_a, values_b, units)
     kept = tables.intern(rows_a), tables.intern(rows_b)
     acc = [{}] * a.size if None in kept else tables.product(*kept, a.order)
-    monos, tables = list(tables.mono), None  # the block tables go before the decoding
-    decoded = {c: _decode(c, w, monos) for c in set(chain.from_iterable(map(dict.values, acc)))}
-    return PolyMatrix._raw(a.order, [{l: decoded[row[l]] for l in sorted(row)} for row in acc])
+    del tables  # the block tables go before the rows are sorted
+    return PolyMatrix._raw(a.order, [{l: row[l] for l in sorted(row)} for row in acc])
 
 
 def matrices_equal(a, b) -> bool:
@@ -487,6 +468,7 @@ def matrices_equal(a, b) -> bool:
     differs, since different exponents can still give equal entries
     (arguments 0, 1, -1).
     """
+    _check_operands(a, b)
     if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix) and (
         (a.order, a.argument, a.cols, a.exps) == (b.order, b.argument, b.cols, b.exps)
     ):

@@ -40,20 +40,24 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant("matmul drops the put-back factor u^i v^j", "matrices.py",
-           "((xa, ya), ca), ((xb, yb), cb) = (unit or ((0, 0), 1) for unit in self.units)",
-           "((xa, ya), ca), ((xb, yb), cb) = ((0, 0), 1), ((0, 0), 1)",
+           "u, v = (unit or ONE for unit in self.units)", "u, v = ONE, ONE",
            ("tests/test_matrices.py::TestMatMul::test_group_law_small_orders",
             "tests/test_matrices.py::TestBlockRecursion::test_one_corrupted_exponent_in_b22")),
     Mutant("matmul puts back u^i without its coefficient c^i", "matrices.py",
-           "c * ca**i * cb**j for", "c for",
+           "return m.argument if len(terms) == 1 else None",
+           "return Poly._raw(dict.fromkeys(terms, 1)) if len(terms) == 1 else None",
            ("tests/test_matrices.py::TestMatMul::test_inverse",
             "tests/test_matrices.py::TestBlockRecursion::test_least_stored_exponent_above_zero")),
     Mutant("matmul takes a multi-term argument's first term as its unit", "matrices.py",
-           "if len(terms) == 1 else None", "if terms else None",
+           "return m.argument if len(terms) == 1 else None",
+           "return Poly._raw(dict([min(terms.items())])) if terms else None",
            ("tests/test_matrices.py::TestMatMul::test_against_dense_oracle",)),
     Mutant("matmul has no value for a unit side's kept exponent 0", "matrices.py",
            "values[0] = ONE", "pass",
            ("tests/test_matrices.py::TestBlockRecursion::test_least_stored_exponent_above_zero",)),
+    Mutant("matmul keeps equal scaled entries as separate objects", "matrices.py",
+           "table[id(p)] = self.entries.setdefault(q, q)", "table[id(p)] = q",
+           ("tests/test_matrices.py::TestBlockRecursion::test_equal_entries_are_one_object",)),
     Mutant("MonomialMatrix packs bool and float exponents", "matrices.py",
            "{type(e) for _, e in row} - {int}", "{type(e) for _, e in row} - {int, bool, float}",
            ("tests/test_matrices.py::TestPackedRows"
@@ -62,6 +66,27 @@ MUTANTS = (
            "build_recursive(order, X + Y))", "matmul(x, build_recursive(order, Y)))",
            ("tests/test_identities.py::TestVerifyGroupLaw"
             "::test_one_corrupted_exponent_in_s_y_fails",)),
+    Mutant("verify_digital_binomial compares (X+Y)^s(m) with itself", "identities.py",
+           "passed = lhs == rhs", "passed = lhs == lhs",
+           ("tests/test_identities.py::TestVerifyDigitalBinomial::test_corrupted_pair_count_fails",)),
+    Mutant("verify_additivity_form compares carry_free with itself", "identities.py",
+           "if carry_free(k, m - k) != (k.bit_count() + (m - k).bit_count() == sigma):",
+           "if carry_free(k, m - k) != carry_free(k, m - k):",
+           ("tests/test_identities.py::TestVerifyAdditivityForm::test_failure_stops_at_first_pair",)),
+    Mutant("verify_classical_reduction compares the counts with themselves", "identities.py",
+           "return counts == {(k, n - k): binomial(n, k) for k in range(n + 1)}",
+           "return counts == dict(counts)",
+           ("tests/test_identities.py::TestClassicalReduction::test_corrupted_pair_count_fails",)),
+    Mutant("verify_kummer compares the valuations with themselves", "identities.py",
+           "if valuations != carries:", "if valuations != valuations:",
+           ("tests/test_identities.py::TestVerifyKummer::test_wrong_valuation_is_the_first_mismatch",
+            "tests/test_identities.py::TestVerifyKummer::test_wrong_carry_is_the_first_mismatch")),
+    Mutant("verify_triangle_matrix_correspondence compares the pattern with itself",
+           "identities.py", "if pattern != residues:", "if pattern != pattern:",
+           ("tests/test_identities.py::TestTriangleMatrixCorrespondence"
+            "::test_failure_stops_at_first_cell",
+            "tests/test_identities.py::TestTriangleMatrixCorrespondence"
+            "::test_failure_counts_cells_up_to_a_missing_entry")),
     Mutant("carry_free tests a | b for a & b", "digits.py",
            "return not a & b", "return not a | b",
            ("tests/test_digits.py::TestCarryFree::test_eight_plus_two",

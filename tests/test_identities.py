@@ -349,6 +349,19 @@ class TestClassicalReduction:
         with pytest.raises(ValueError):
             verify_classical_reduction(0)
 
+    @pytest.mark.parametrize("pair", [(1, 2), (0, 4)], ids=["wrong-count", "stray-pair"])
+    def test_corrupted_pair_count_fails(self, monkeypatch, pair):
+        # m = 2^3 - 1 gives 1, 3, 3, 1: one summand too many at X^1*Y^2, or a pair off the row
+        real = identities.exponent_pair_counts
+
+        def one_too_many(m):
+            counts = real(m)
+            counts[pair] = counts.get(pair, 0) + 1
+            return counts
+
+        monkeypatch.setattr(identities, "exponent_pair_counts", one_too_many)
+        assert verify_classical_reduction(3) is False
+
     def test_exponent_cap(self):
         assert verify_classical_reduction(24)
         for n in (25, 10**12):  # refused before 2^n - 1 is formed

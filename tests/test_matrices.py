@@ -252,7 +252,8 @@ class TestMatMul:
         assert prod.nonzero_count() == 9
 
     def test_coded_tally_against_dense_oracle(self):
-        # operands meant to break the packing of each product into one int
+        # wide and signed coefficients, degrees that meet in the output and many distinct
+        # entries, whose block sums add Poly entries that cancel and grow past 64 bits
         rng = random.Random(5)
         big = 2**64 + 1
         wide = [-big * X**2 * Y, (2**70 - 3) * X - Y**3, -(X**4), 7 * Y - 2**65, big * Y**2]
@@ -278,7 +279,7 @@ class TestMatMul:
         assert matmul(zero, s3) == zero
 
     def test_coded_tally_of_sparse_high_degree_entries(self):
-        # a product packs one field per monomial that occurs, whatever its degree
+        # a product's cost follows the terms that occur, whatever their degree
         prod = matmul(build_recursive(4, X**1000), build_recursive(4, Y**1000))
         assert matrices_equal(prod, build_recursive(4, X**1000 + Y**1000))
         assert matrices_equal(matmul(build_recursive(6, X**300), build_recursive(6, -(X**300))),
@@ -288,8 +289,8 @@ class TestMatMul:
         assert matmul(a, a) == dense_product(a, a)
 
     def test_coded_tally_at_the_coefficient_bound(self):
-        # an all-c lower triangle times an all-e one puts 2^order * c * e at (last, 0),
-        # the bound w is sized for; one bit less and that entry decodes wrong
+        # an all-c lower triangle times an all-e one puts 2^order * c * e at (last, 0):
+        # every k adds to that entry, the most any entry of the product sums
         for c, e in ((ONE, ONE), (-3 * ONE, -5 * ONE), (3 * ONE, -5 * ONE)):
             a = PolyMatrix(4, [{k: c for k in range(j + 1)} for j in range(16)])
             b = PolyMatrix(4, [{k: e for k in range(j + 1)} for j in range(16)])
@@ -321,6 +322,16 @@ class TestMatMul:
     def test_operator(self):
         a = build_recursive(2, X).to_poly_matrix()
         assert matmul(a, identity(2)) == a
+
+    def test_refuses_an_operand_that_is_not_a_matrix(self):
+        m = build_recursive(2, X)
+        for call, match in ((lambda: matmul([[1]], m), "first operand .* got list"),
+                            (lambda: matmul(m, ONE), "second operand .* got Poly"),
+                            (lambda: matrices_equal(m, 5), "second operand .* got int"),
+                            (lambda: matrices_equal("S_2", m.to_poly_matrix()), "first .* got str")):
+            with pytest.raises(TypeError, match=match):
+                call()
+        assert m.__eq__(5) is NotImplemented and m.to_poly_matrix().__eq__([]) is NotImplemented
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -417,8 +428,10 @@ class TestBlockRecursion:
             matmul(a, b)
             counts.append(len(calls))
         # 26 for the powers of X and 26 for those of Y, then one 1x1 product: each 1x1 block
-        # is kept with its exponent taken out, so every level reuses that one leaf X^0 Y^0
-        assert counts == [53, 53]
+        # is kept with its exponent taken out, so every level reuses that one leaf X^0 Y^0.
+        # Level t puts back the factor X + Y of C21 in 4 products and multiplies the t
+        # distinct entries of its one block product by it: 4 * 8 + 36 more
+        assert counts == [121, 121]
         monkeypatch.undo()
         gc.disable()
         tracemalloc.start()
@@ -432,6 +445,15 @@ class TestBlockRecursion:
             tracemalloc.stop()
             gc.enable()
         assert left < 64 * 1024  # no reference cycle keeps the block tables alive
+
+    def test_equal_entries_are_one_object(self):
+        # S_n(X) S_n(Y) holds (X+Y)^e for e <= n and S_n(X) S_n(-X) holds 1 alone: block sums
+        # keep equal entries as one object, where copies would double at every level
+        for n in range(11):
+            x = build_recursive(n, X)
+            for y, count in ((build_recursive(n, Y), n + 1), (build_recursive(n, -X), 1)):
+                prod = matmul(x, y)
+                assert len({id(p) for j in range(prod.size) for p in prod.row(j).values()}) == count
 
     def test_order_10_product_peak(self):
         # one block product a level keeps the memo small; with a product for each
