@@ -22,7 +22,8 @@ from __future__ import annotations
 import operator
 import struct
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 
 from .algebra import ONE, ZERO, Poly
 from .digits import _check_nonnegative
@@ -293,12 +294,26 @@ def identity(order: int) -> PolyMatrix:
     return PolyMatrix._raw(order, [{j: ONE} for j in range(1 << order)])
 
 
-def _entry_rows(m: MonomialMatrix | PolyMatrix):
-    """Row j as {column: Poly} with ascending columns and no zero entry, for either form."""
+def _entry_rows(m: MonomialMatrix | PolyMatrix, like: PolyMatrix | None = None):
+    """Row j as {column: Poly} with ascending columns and no zero entry, for either form.
+
+    argument**e is replaced by the entry of a PolyMatrix `like` of m's order at the first
+    place m stores e, where the two are equal: one Poly comparison per exponent.
+    """
     if isinstance(m, PolyMatrix):
         return iter(m._rows)
-    powers = {e: p for e, p in m._powers().items() if p}  # 0**e is dropped, as PolyMatrix does
-    return ({k: powers[e] for k, e in _pairs(c, x) if e in powers} for c, x in zip(m.cols, m.exps))
+    powers = m._powers()
+    if like is not None:
+        flat, starts = b"".join(m.exps), [0, *accumulate(map(len, m.exps))]
+        for e, p in powers.items():
+            at = flat.index(e)
+            j = bisect_right(starts, at) - 1  # flat[at] is in row j, at column index at - starts[j]
+            q = like._rows[j].get(memoryview(m.cols[j]).cast("H")[at - starts[j]], p)
+            powers[e] = q if q == p else p
+    get = powers.__getitem__
+    rows = (dict(zip(memoryview(c).cast("H"), map(get, x))) for c, x in zip(m.cols, m.exps))
+    # 0**e is dropped, as PolyMatrix does; only a zero argument has a zero power
+    return rows if all(powers.values()) else ({k: p for k, p in r.items() if p} for r in rows)
 
 
 def _keyed(m: MonomialMatrix | PolyMatrix):
@@ -359,32 +374,36 @@ class _Blocks:
         return self.done[key]
 
     def plus(self, x: dict, y: dict) -> dict:
-        """The sum of two {column: Poly} rows, zeros dropped; an empty row gives the other."""
+        """Sum of two {column: Poly} rows, sorted, zeros dropped; an empty row gives the other."""
         if not x or not y:
             return x or y
         s = x | {l: x[l] + p if l in x else p for l, p in y.items()}
-        return s if all(s.values()) else {l: p for l, p in s.items() if p}
+        return {l: s[l] for l in sorted(s) if s[l]}
 
     def scaled(self, rows: list, offsets: list) -> list[dict[int, Poly]]:
         """rows times the sum of u^i v^j over the offsets (i, j), u and v the sides' units.
 
         Each distinct entry of rows is multiplied by that one factor once, and
-        the result interned by value, so equal entries stay one object.
+        the result interned by value, so equal entries stay one object.  Z[X, Y]
+        has no zero divisors, so only a zero factor gives zero entries: it empties every row.
         """
         if offsets == [(0, 0)]:
             return rows
         u, v = (unit or ONE for unit in self.units)
         factor = sum((u**i * v**j for i, j in offsets), ZERO)
+        if not factor:  # C21 of S_n(x) S_n(-x): x S S - S x S
+            return [{}] * len(rows)
         table = {}
         for p in {id(p): p for row in rows for p in row.values()}.values():
             q = p * factor
             table[id(p)] = self.entries.setdefault(q, q)
-        return [{l: q for l, p in row.items() if (q := table[id(p)])} for row in rows]
+        return [dict(zip(row, map(table.__getitem__, map(id, row.values())))) for row in rows]
 
     def split(self, a: tuple, b: tuple, t: int) -> list[dict[int, Poly]]:
         """C_rc = A_r0 B_0c + A_r1 B_1c over the quadrants, C_r1's columns moved right by h.
 
         (u^i A)(v^j B) = u^i v^j (AB): terms of C_rc with one kept pair share its product.
+        Columns ascend: C_r0's lie below h, C_r1's at h or above, each sorted by induction.
         """
         qa, qb = self.quadrants(a, t, self.units[0]), self.quadrants(b, t, self.units[1])
         h, rows = 1 << t - 1, []
@@ -401,7 +420,8 @@ class _Blocks:
                     part = list(map(self.plus, part,
                                     self.scaled(self.product(x, y, t - 1), offsets)))
                 parts.append(part)
-            rows += (x | {l + h: v for l, v in y.items()} if y else x for x, y in zip(*parts))
+            rows += ({**x, **dict(zip(map(h.__add__, y), y.values()))} if y else x
+                     for x, y in zip(*parts))
         return rows
 
 
@@ -454,9 +474,8 @@ def matmul(a, b) -> PolyMatrix:
             values[0] = ONE
     tables = _Blocks(values_a, values_b, units)
     kept = tables.intern(rows_a), tables.intern(rows_b)
-    acc = [{}] * a.size if None in kept else tables.product(*kept, a.order)
-    del tables  # the block tables go before the rows are sorted
-    return PolyMatrix._raw(a.order, [{l: row[l] for l in sorted(row)} for row in acc])
+    rows = [{}] * a.size if None in kept else tables.product(*kept, a.order)
+    return PolyMatrix._raw(a.order, rows)  # product rows ascend: see _Blocks.split
 
 
 def matrices_equal(a, b) -> bool:
@@ -466,11 +485,14 @@ def matrices_equal(a, b) -> bool:
     rows are equal without expansion: the rows compare as bytes.  Anything
     else is compared one expanded row at a time, up to the first row that
     differs, since different exponents can still give equal entries
-    (arguments 0, 1, -1).
+    (arguments 0, 1, -1).  A MonomialMatrix expands into a PolyMatrix's own
+    entries where they equal argument**e (_entry_rows); dict equality skips
+    Poly.__eq__ for identical entries only, so the result stays exact.
     """
     _check_operands(a, b)
     if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix) and (
         (a.order, a.argument, a.cols, a.exps) == (b.order, b.argument, b.cols, b.exps)
     ):
         return True
-    return a.order == b.order and all(map(operator.eq, _entry_rows(a), _entry_rows(b)))
+    like = next((m for m in (a, b) if isinstance(m, PolyMatrix)), None)
+    return a.order == b.order and all(map(operator.eq, _entry_rows(a, like), _entry_rows(b, like)))

@@ -58,6 +58,19 @@ MUTANTS = (
     Mutant("matmul keeps equal scaled entries as separate objects", "matrices.py",
            "table[id(p)] = self.entries.setdefault(q, q)", "table[id(p)] = q",
            ("tests/test_matrices.py::TestBlockRecursion::test_equal_entries_are_one_object",)),
+    Mutant("matrices_equal takes the PolyMatrix's entry as argument**e unchecked", "matrices.py",
+           "powers[e] = q if q == p else p", "powers[e] = q",
+           ("tests/test_matrices.py::TestMatricesEqualAcrossRepresentations"
+            "::test_wrong_entry_at_the_first_place_of_an_exponent_differs",
+            "tests/test_matrices.py::TestMatricesEqualAcrossRepresentations"
+            "::test_coinciding_and_vanishing_powers_are_exact")),
+    Mutant("matmul stores the zero entries of a zero factor", "matrices.py",
+           "if not factor:", "if False:",
+           ("tests/test_matrices.py::TestBlockRecursion"
+            "::test_inverse_product_stores_only_its_diagonal",)),
+    Mutant("matmul leaves a summed row's columns unsorted", "matrices.py",
+           "for l in sorted(s) if s[l]}", "for l in s if s[l]}",
+           ("tests/test_matrices.py::TestBlockRecursion::test_product_rows_ascend_after_a_sum",)),
     Mutant("MonomialMatrix packs bool and float exponents", "matrices.py",
            "{type(e) for _, e in row} - {int}", "{type(e) for _, e in row} - {int, bool, float}",
            ("tests/test_matrices.py::TestPackedRows"

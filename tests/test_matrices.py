@@ -217,6 +217,56 @@ class TestMatricesEqualAcrossRepresentations:
         extra = PolyMatrix(3, rows)
         assert not matrices_equal(m, extra) and not matrices_equal(extra, m)
 
+    @staticmethod
+    def places(m: MonomialMatrix, e: int) -> list[tuple[int, int]]:
+        # every (row, column) where m stores exponent e, in row-major order
+        return [(j, k) for j in range(m.size) for k, f in m.rows[j] if f == e]
+
+    @staticmethod
+    def replaced(m: MonomialMatrix, spot: tuple[int, int], entry: Poly) -> PolyMatrix:
+        rows = [m.to_poly_matrix().row(j) for j in range(m.size)]
+        rows[spot[0]][spot[1]] = entry
+        return PolyMatrix(m.order, rows)
+
+    @pytest.mark.parametrize("e", range(5))
+    def test_wrong_entry_at_the_first_place_of_an_exponent_differs(self, e):
+        # the candidate for (X+Y)^e sits where e is first stored; a wrong one is refused,
+        # and e = 4 is stored only there, so taking it unchecked would call the two equal
+        m = build_recursive(4, X + Y)
+        wrong = self.replaced(m, self.places(m, e)[0], (X + Y) ** e + X)
+        assert not matrices_equal(m, wrong) and not matrices_equal(wrong, m)
+
+    @pytest.mark.parametrize("e", range(4))
+    def test_wrong_entry_at_a_later_place_of_an_exponent_differs(self, e):
+        m = build_recursive(4, X + Y)
+        first, *later = self.places(m, e)
+        for spot in later:
+            wrong = self.replaced(m, spot, (X + Y) ** e + X)
+            assert wrong.entry(*first) == (X + Y) ** e
+            assert not matrices_equal(m, wrong) and not matrices_equal(wrong, m)
+
+    def test_equal_but_distinct_entry_objects_are_equal(self):
+        m = build_recursive(5, X + Y)
+        copies = PolyMatrix(5, [{k: Poly(p.terms) for k, p in m.to_poly_matrix().row(j).items()}
+                                for j in range(m.size)])
+        assert len({id(p) for j in range(m.size) for p in copies.row(j).values()}) == 3**5
+        assert matrices_equal(m, copies) and matrices_equal(copies, m)
+
+    @pytest.mark.parametrize("arg", [ZERO, ONE, MINUS_ONE])
+    def test_coinciding_and_vanishing_powers_are_exact(self, arg):
+        # 0^e vanishes for e > 0, 1^e is one entry for every e, and (-1)^e takes two values
+        m = build_recursive(4, arg)
+        exact = build_closed_form(4, arg).to_poly_matrix()
+        assert matrices_equal(m, exact) and matrices_equal(exact, m)
+        for e in range(1, 3):
+            for spot in self.places(m, e)[:2]:  # the first place of e, where its candidate is
+                for entry in (arg**e + ONE, -(arg**e) if arg else ONE):
+                    wrong = self.replaced(m, spot, entry)
+                    assert not matrices_equal(m, wrong) and not matrices_equal(wrong, m)
+        flipped = build_recursive(4, -arg).to_poly_matrix()
+        assert matrices_equal(m, flipped) is (arg == ZERO)
+        assert matrices_equal(flipped, m) is (arg == ZERO)
+
 
 class TestMatMul:
     def test_order_one_product(self):
@@ -454,6 +504,30 @@ class TestBlockRecursion:
             for y, count in ((build_recursive(n, Y), n + 1), (build_recursive(n, -X), 1)):
                 prod = matmul(x, y)
                 assert len({id(p) for j in range(prod.size) for p in prod.row(j).values()}) == count
+
+    def test_inverse_product_stores_only_its_diagonal(self):
+        # C21 of S_n(X) S_n(-X) carries the factor X - X = 0; Z[X, Y] has no zero divisors,
+        # so that is the only way an entry vanishes, and no zero is ever stored
+        for n in range(7):
+            prod = matmul(build_recursive(n, X), build_recursive(n, -X))
+            assert prod.nonzero_count() == 1 << n
+            assert all(p for j in range(prod.size) for p in prod.row(j).values())
+            assert prod == identity(n)
+
+    def test_product_rows_ascend_after_a_sum(self):
+        # dense random operands: each quadrant of the product sums two block products,
+        # so rows meet in plus, and no row is sorted after it
+        rng = random.Random(28)
+        pool = [ONE, -ONE, X, 2 * Y, X - Y, X * Y + 3]
+        for n in (2, 3, 5):
+            a, b = (PolyMatrix(n, [{k: rng.choice(pool) for k in range(j + 1) if rng.random() < 0.7}
+                                   for j in range(1 << n)]) for _ in range(2))
+            prod = matmul(a, b)
+            assert prod == sparse_product(a, b)
+            for j in range(prod.size):
+                assert list(prod.row(j)) == sorted(prod.row(j))
+        again = matmul(prod, prod)  # a product's rows feed the quadrant split's bisect
+        assert again == sparse_product(prod, prod)
 
     def test_order_10_product_peak(self):
         # one block product a level keeps the memo small; with a product for each
