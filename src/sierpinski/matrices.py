@@ -11,8 +11,9 @@ The two constructors are deliberately disjoint code paths:
 * ``build_recursive`` unfolds S_{n+1}(x) = S_1(x) (x) S_n(x), the Kronecker
   recurrence, block by block;
 * ``build_closed_form`` fills row j from the closed form: entry (j, k) is
-  arg**s(j-k) exactly when k is a carry-free summand (submask) of j, every
-  column and exponent of the row computed at once from j alone.
+  arg**s(j-k) exactly when k is a carry-free summand (submask) of j.  Both
+  conditions split by byte, so the row joins the submasks and digit sums of
+  j's two bytes, read from tables over one byte, and comes from j alone.
 
 Their agreement over all orders is one of the package's core checks.
 """
@@ -23,6 +24,7 @@ import operator
 import struct
 import sys
 from bisect import bisect_left, bisect_right
+from functools import cache
 from itertools import accumulate
 
 from .algebra import ONE, ZERO, Poly
@@ -43,10 +45,11 @@ __all__ = [
 MAX_BUILD_ORDER = 12  # 3^12 ~ 5.3e5 stored entries; at most 16, so columns fit uint16
 
 _INC = bytes((e + 1) & 0xFF for e in range(256))  # exponent e -> e + 1
-_ROTATE = bytes(range(256)) * 2  # [256 - i : 512 - i] maps byte e -> e - i mod 256
+_BYTES = bytes(range(256))
+# _ROTATE[i : 256 + i] maps byte e -> e + i mod 256, and [256 - i : 512 - i] maps e -> e - i
+_ROTATE = _BYTES * 2
 _FLIP_BIT = tuple(bytes(v ^ 1 << b for v in range(256)) for b in range(8))  # byte v -> v ^ 2^b
 _HIGH_LANE = 1 if sys.byteorder == "little" else 0  # byte of a uint16 column with bits 8-15
-_POPCOUNT = bytes(v.bit_count() for v in range(256))
 
 
 def _check_order(n: int) -> None:
@@ -71,6 +74,11 @@ def _check_rows(order: int, columns: list) -> None:
     for j, cols in enumerate(columns):
         if set(map(type, cols)) - {int} or cols and not 0 <= min(cols) <= max(cols) <= j:
             raise ValueError(f"row {j} has a column above the diagonal, below 0 or not an int")
+
+
+def _stored(flat: bytes) -> bytes:
+    """The distinct bytes of flat, ascending, at C speed: all 256 less those flat lacks."""
+    return _BYTES.translate(None, _BYTES.translate(None, flat))
 
 
 def _pack_columns(columns: list[int]) -> bytes:
@@ -145,7 +153,7 @@ class MonomialMatrix:
 
     def _powers(self) -> dict[int, Poly]:
         """argument**e for every stored exponent e, each computed once."""
-        return {e: self.argument**e for e in set(b"".join(self.exps))}
+        return {e: self.argument**e for e in _stored(b"".join(self.exps))}
 
     def to_poly_matrix(self) -> "PolyMatrix":
         return PolyMatrix._raw(self.order, _entry_rows(self))
@@ -156,7 +164,7 @@ class MonomialMatrix:
     def marked_rows(self, mark):
         """Row j as j + 1 bytes: mark(e) where argument**e is stored, else 0; one mark per e."""
         marks = bytearray(256)  # exponent -> its mark, for bytes.translate
-        for e in set(b"".join(self.exps)):
+        for e in _stored(b"".join(self.exps)):
             marks[e] = mark(e)
         for j, (cols, exps) in enumerate(zip(self.cols, self.exps)):
             row = bytearray(j + 1)
@@ -259,33 +267,53 @@ def build_recursive(n: int, argument: Poly) -> MonomialMatrix:
     return MonomialMatrix._packed(n, argument, cols, exps)
 
 
+@cache
+def _byte_tables() -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """Per byte v: its submasks k in ascending order, and s(v - k) for each, a byte apiece.
+
+    Brute force over one byte, built on first use rather than at import.
+    """
+    masks = tuple(bytes(k for k in range(v + 1) if k & v == k) for v in range(256))
+    return masks, tuple(bytes((v - k).bit_count() for k in ks) for v, ks in enumerate(masks))
+
+
 def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
     """S_n(argument) directly from the entry formula, a whole row at a time.
 
     Row j holds arg**s(j-k) at each carry-free summand (submask) k of j and
-    zero elsewhere, as one integer of 2^s(j) uint16 lanes: with b_0 < ...
-    the bits of j, lane r is the sum of counter_i * 2^b_i, where lane r of
-    counter_i is bit i of r, so the columns ascend with r.  The exponents
-    are the lane popcounts of j*ones - lanes; no lane borrows, as each is a
-    submask of j.  Row j comes from j alone, with no other row and no
-    Kronecker step, so its agreement with build_recursive stays independent.
+    zero elsewhere.  Both conditions split by byte.  With j = 256*jh + jl and
+    k = 256*h + l (n <= 16, so two bytes), k is a submask of j exactly when h
+    is one of jh and l one of jl; then j - k borrows nowhere, so s(j - k) =
+    s(jh - h) + s(jl - l).  _byte_tables gives each byte's submasks in
+    ascending order and those digit sums.  Row j's columns are, for each
+    submask h of jh in ascending order, jl's submasks with high byte h: they
+    ascend.  Its exponents are, for each digit sum d of jh's row, jl's digit
+    sums plus d.  The per-call tables are keyed by h and by d, and hold
+    nothing of another row, so row j comes from j alone, with no Kronecker
+    step, and its agreement with build_recursive stays independent.
     """
     _check_build(n, argument)
-    # by s = s(j): counter_i over 2^s lanes for each i < s, and 2^s lanes of ones
-    counters = [[int.from_bytes((bytes(2 << i) + b"\x01\x00" * (1 << i)) * (1 << s >> i + 1),
-                                "little") for i in range(s)] for s in range(n + 1)]
-    ones = [int.from_bytes(b"\x01\x00" * (1 << s), "little") for s in range(n + 1)]
+    masks, sums = _byte_tables()
+    low = masks[: 1 << min(n, 8)]  # the masks of every low byte jl
+    ends = list(accumulate(map(len, low)))
+    starts = [0, *ends[:-1]]
+    spans = list(map(slice, starts, ends))  # jl's piece of the joined low-byte rows
+    col_spans = list(map(slice, map((2).__mul__, starts), map((2).__mul__, ends)))
+    joined, joined_sums = b"".join(low), b"".join(sums[: len(low)])
+    lanes = bytearray(2 * len(joined))  # every jl's submasks as uint16 columns, one high byte
+    by_high, by_sum = {}, {}  # h -> jl's columns with high byte h; d -> jl's digit sums plus d
     cols, exps = [], []
-    for j in range(1 << n):
-        bits = [b for b in range(n) if j >> b & 1]
-        s = len(bits)
-        lanes = sum(map(operator.lshift, counters[s], bits))
-        raw = lanes.to_bytes(2 << s, "little")  # uint16 columns, swapped on a big-endian host
-        cols.append(raw if _HIGH_LANE else bytes(raw[i ^ 1] for i in range(2 << s)))
-        rest = (j * ones[s] - lanes).to_bytes(2 << s, "little")  # j - k in every lane
-        low = int.from_bytes(rest[0::2].translate(_POPCOUNT), "little")
-        high = int.from_bytes(rest[1::2].translate(_POPCOUNT), "little")
-        exps.append((low + high).to_bytes(1 << s, "little"))
+    for jh in range(1 << max(n - 8, 0)):
+        for h in masks[jh]:
+            if h not in by_high:
+                lanes[1 - _HIGH_LANE :: 2], lanes[_HIGH_LANE::2] = joined, bytes([h]) * len(joined)
+                by_high[h] = list(map(bytes(lanes).__getitem__, col_spans))
+        for d in sums[jh]:
+            if d not in by_sum:
+                shifted = joined_sums.translate(_ROTATE[d : 256 + d])
+                by_sum[d] = list(map(shifted.__getitem__, spans))
+        cols += map(b"".join, zip(*map(by_high.__getitem__, masks[jh])))
+        exps += map(b"".join, zip(*map(by_sum.__getitem__, sums[jh])))
     return MonomialMatrix._packed(n, argument, cols, exps)
 
 
@@ -316,10 +344,14 @@ def _entry_rows(m: MonomialMatrix | PolyMatrix, like: PolyMatrix | None = None):
     return rows if all(powers.values()) else ({k: p for k, p in r.items() if p} for r in rows)
 
 
-def _keyed(m: MonomialMatrix | PolyMatrix):
-    """(packed columns, keys) rows and a key -> Poly lookup; a key is an exponent or an entry id."""
+def _keyed(m: MonomialMatrix | PolyMatrix, unit: Poly | None = None):
+    """(packed columns, keys) rows and a key -> Poly lookup; a key is an exponent or an entry id.
+
+    A unit side above order 0 is split, and each of its 1x1 blocks kept as
+    u^0 (see matmul), so it looks up exponent 0 alone.
+    """
     if isinstance(m, MonomialMatrix):
-        return tuple(zip(m.cols, m.exps)), m._powers()
+        return tuple(zip(m.cols, m.exps)), {0: ONE} if unit and m.order else m._powers()
     keys: dict[Poly, int] = {}
     rows = tuple((_pack_columns(list(r)), tuple(keys.setdefault(p, len(keys)) for p in r.values()))
                  for r in m._rows)
@@ -467,11 +499,8 @@ def matmul(a, b) -> PolyMatrix:
     _check_operands(a, b)
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
-    (rows_a, values_a), (rows_b, values_b) = _keyed(a), _keyed(b)
     units = _unit(a), _unit(b)
-    for values, unit in zip((values_a, values_b), units):
-        if unit:  # a split unit side's 1x1 blocks are kept with exponent 0
-            values[0] = ONE
+    (rows_a, values_a), (rows_b, values_b) = _keyed(a, units[0]), _keyed(b, units[1])
     tables = _Blocks(values_a, values_b, units)
     kept = tables.intern(rows_a), tables.intern(rows_b)
     rows = [{}] * a.size if None in kept else tables.product(*kept, a.order)

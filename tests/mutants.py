@@ -53,7 +53,10 @@ MUTANTS = (
            "return Poly._raw(dict([min(terms.items())])) if terms else None",
            ("tests/test_matrices.py::TestMatMul::test_against_dense_oracle",)),
     Mutant("matmul has no value for a unit side's kept exponent 0", "matrices.py",
-           "values[0] = ONE", "pass",
+           "{0: ONE} if unit and m.order", "m._powers() if unit and m.order",
+           ("tests/test_matrices.py::TestBlockRecursion::test_least_stored_exponent_above_zero",)),
+    Mutant("matmul looks up only u^0 for an order-0 unit side", "matrices.py",
+           "if unit and m.order else", "if unit else",
            ("tests/test_matrices.py::TestBlockRecursion::test_least_stored_exponent_above_zero",)),
     Mutant("matmul keeps equal scaled entries as separate objects", "matrices.py",
            "table[id(p)] = self.entries.setdefault(q, q)", "table[id(p)] = q",
@@ -71,6 +74,24 @@ MUTANTS = (
     Mutant("matmul leaves a summed row's columns unsorted", "matrices.py",
            "for l in sorted(s) if s[l]}", "for l in s if s[l]}",
            ("tests/test_matrices.py::TestBlockRecursion::test_product_rows_ascend_after_a_sum",)),
+    Mutant("build_closed_form's submask table holds one non-submask", "matrices.py",
+           "if k & v == k)", "if k & v == k or (v, k) == (9, 2))",
+           ("tests/test_matrices.py::TestBuildClosedForm"
+            "::test_byte_tables_match_a_brute_force_scan",
+            "tests/test_matrices.py::TestPackedRows::test_pair_rows_match_submask_oracle")),
+    Mutant("build_closed_form's digit sums are one high for byte 3", "matrices.py",
+           "bytes((v - k).bit_count() for k in ks)",
+           "bytes((v - k).bit_count() + (v == 3) for k in ks)",
+           ("tests/test_matrices.py::TestBuildClosedForm"
+            "::test_byte_tables_match_a_brute_force_scan",
+            "tests/test_matrices.py::TestBuildClosedForm"
+            "::test_packed_rows_are_pinned_at_every_order")),
+    Mutant("build_closed_form swaps the low and high column lanes", "matrices.py",
+           "lanes[1 - _HIGH_LANE :: 2], lanes[_HIGH_LANE::2] = joined",
+           "lanes[_HIGH_LANE::2], lanes[1 - _HIGH_LANE :: 2] = joined",
+           ("tests/test_matrices.py::TestPackedRows::test_pair_rows_match_submask_oracle",
+            "tests/test_matrices.py::TestBuildClosedForm"
+            "::test_packed_rows_are_pinned_at_every_order")),
     Mutant("MonomialMatrix packs bool and float exponents", "matrices.py",
            "{type(e) for _, e in row} - {int}", "{type(e) for _, e in row} - {int, bool, float}",
            ("tests/test_matrices.py::TestPackedRows"

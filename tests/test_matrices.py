@@ -2,7 +2,9 @@
 
 import array
 import gc
+import hashlib
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -115,6 +117,33 @@ class TestBuildClosedForm:
     def test_order_limit(self):
         with pytest.raises(SizeLimitError):
             build_closed_form(13, X)
+
+    def test_byte_tables_match_a_brute_force_scan(self):
+        masks, sums = matrices._byte_tables()
+        assert len(masks) == len(sums) == 256
+        for v in range(256):
+            below = [k for k in range(256) if k | v == v]
+            assert list(masks[v]) == below, v
+            assert list(sums[v]) == [sum_of_digits(v - k) for k in below], v
+
+    # sha256 of each order's packed rows, little-endian columns, as the lane-popcount builder
+    # wrote them; the bytes do not depend on the argument
+    PACKED = ["957b88b12730e646", "46cdaff2b1df3071", "a96342c236226ef9", "33dedcf92696eb71",
+              "e71905d8206df745", "df665441d48deee8", "a4b88b69b3170df2", "e450c2ed27b1e740",
+              "779fb2ab7670ca51", "280b02eb6c89e748", "404f245f29d5d2d5", "e3cca81987dee4b9",
+              "e952dccea6eeb1fa"]
+
+    @pytest.mark.parametrize("arg", [X, ONE, ZERO, -X], ids=str)
+    def test_packed_rows_are_pinned_at_every_order(self, arg):
+        for n, want in enumerate(self.PACKED):
+            m = build_closed_form(n, arg)
+            digest = hashlib.sha256()
+            for cols, exps in zip(m.cols, m.exps):
+                little = array.array("H", cols)
+                if sys.byteorder == "big":
+                    little.byteswap()
+                digest.update(len(exps).to_bytes(2, "little") + little.tobytes() + exps)
+            assert (m.order, m.argument, digest.hexdigest()[:16]) == (n, arg, want)
 
 
 class TestConstructionEquivalence:
@@ -477,11 +506,11 @@ class TestBlockRecursion:
             calls.clear()
             matmul(a, b)
             counts.append(len(calls))
-        # 26 for the powers of X and 26 for those of Y, then one 1x1 product: each 1x1 block
-        # is kept with its exponent taken out, so every level reuses that one leaf X^0 Y^0.
-        # Level t puts back the factor X + Y of C21 in 4 products and multiplies the t
-        # distinct entries of its one block product by it: 4 * 8 + 36 more
-        assert counts == [121, 121]
+        # One 1x1 product: each 1x1 block is kept with its exponent taken out, so every level
+        # reuses that one leaf X^0 Y^0, and no other power of X or Y is computed. Level t puts
+        # back the factor X + Y of C21 in 4 products and multiplies the t distinct entries of
+        # its one block product by it: 1 + 4 * 8 + 36
+        assert counts == [69, 69]
         monkeypatch.undo()
         gc.disable()
         tracemalloc.start()
