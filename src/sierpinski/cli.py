@@ -66,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("digits", parents=[common], help="digit expansion and digit sum")
     p.add_argument("value", type=_nonnegative_int)
     p.add_argument("--base", type=int, default=2)
+    p.set_defaults(run=cmd_digits)
 
     p = sub.add_parser("matrix", parents=[common], help="emit a family matrix")
     p.add_argument("order", type=_nonnegative_int)
@@ -73,9 +74,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=["kronecker", "closed"], default="kronecker")
     p.add_argument("--format", choices=["compact", "poly"], default="compact")
     p.add_argument("--check", action="store_true", help="build both ways and compare")
+    p.set_defaults(run=cmd_matrix)
 
     p = sub.add_parser("expand", parents=[common], help="digital binomial expansion of m")
     p.add_argument("m", type=_nonnegative_int)
+    p.set_defaults(run=cmd_expand)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("suite", choices=[*_SUITES, "all"])
@@ -83,6 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_nonnegative_int, default=None)
     p.add_argument("--max-n", type=_positive_int, default=64)
     p.add_argument("--p", type=int, default=2)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("triangle", parents=[common], help="render a triangle pattern")
     group = p.add_mutually_exclusive_group(required=True)
@@ -91,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mod", type=int, default=2)
     p.add_argument("--format", choices=["ascii", "pbm", "csv"], default="ascii")
     p.add_argument("--source", choices=["pascal-mod", "matrix-ones"], default=None)
+    p.set_defaults(run=cmd_triangle)
 
     return parser
 
@@ -208,19 +213,8 @@ def cmd_triangle(args, out) -> int:
     return 0
 
 
-_COMMANDS = {
-    "digits": cmd_digits,
-    "matrix": cmd_matrix,
-    "expand": cmd_expand,
-    "verify": cmd_verify,
-    "triangle": cmd_triangle,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
     try:
         if args.output:
             if os.path.isdir(args.output) and not os.path.islink(args.output):
@@ -232,13 +226,13 @@ def main(argv=None) -> int:
             out = open(tmp, "x", newline="")
             try:
                 with out:
-                    rc = handler(args, out)
+                    rc = args.run(args, out)
                 os.replace(tmp, args.output)
             except BaseException:
                 os.unlink(tmp)
                 raise
             return rc
-        rc = handler(args, sys.stdout)
+        rc = args.run(args, sys.stdout)
         sys.stdout.flush()  # so a reader that already left is seen here, not at exit
         return rc
     except BrokenPipeError:

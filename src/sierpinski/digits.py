@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import SizeLimitError
-
 __all__ = [
+    "SizeLimitError",
     "PRIME_LIMIT",
     "base_digits",
     "sum_of_digits",
@@ -25,6 +24,10 @@ __all__ = [
 ]
 
 PRIME_LIMIT = 1 << 32  # trial division up to 2^16: ~4 ms at worst
+
+
+class SizeLimitError(ValueError):
+    """Raised when a requested computation exceeds a configured size limit."""
 
 
 def _check_nonnegative(name: str, value: int) -> None:

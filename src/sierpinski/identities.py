@@ -19,9 +19,8 @@ from collections import Counter, namedtuple
 from operator import not_
 
 from .algebra import ONE, Poly, X, Y, binomial
-from .digits import (_check_nonnegative, _check_positive, _check_prime, carry_free,
-                     carry_free_summands, carry_rows)
-from .errors import SizeLimitError
+from .digits import (SizeLimitError, _check_nonnegative, _check_positive, _check_prime,
+                     carry_free, carry_free_summands, carry_rows)
 from .matrices import build_closed_form, build_recursive, identity, matmul, matrices_equal
 
 __all__ = [

@@ -28,8 +28,7 @@ from functools import cache
 from itertools import accumulate
 
 from .algebra import ONE, ZERO, Poly
-from .digits import _check_nonnegative
-from .errors import SizeLimitError
+from .digits import SizeLimitError, _check_nonnegative
 
 __all__ = [
     "MonomialMatrix",
@@ -90,23 +89,31 @@ def _pairs(cols: bytes, exps: bytes):
     return zip(memoryview(cols).cast("H"), exps)
 
 
-def _grid(m: MonomialMatrix | PolyMatrix, render=str, sep: str = "\t"):
-    """Lines of the full square grid of either form, render run once per key; zero is "0"."""
-    rows, values = _keyed(m)
-    tokens = {key: render(p) for key, p in values.items()}
-    for cols, keys in rows:
-        cells = ["0"] * m.size
-        for k, key in _pairs(cols, keys):
-            cells[k] = tokens[key]
-        yield sep.join(cells)
+class _Matrix:
+    """What both kinds share: the order, the 2^order side, the full grid and ==."""
+
+    __slots__ = ("order",)
+
+    @property
+    def size(self) -> int:
+        return 1 << self.order
+
+    def grid(self, render=str, sep: str = "\t"):
+        """Lines of the full square grid, render run once per exponent or entry; zero is "0"."""
+        rows, values = _keyed(self)
+        tokens = {key: render(p) for key, p in values.items()}
+        for cols, keys in rows:
+            cells = ["0"] * self.size
+            for k, key in _pairs(cols, keys):
+                cells[k] = tokens[key]
+            yield sep.join(cells)
+
+    def __eq__(self, other):
+        """matrices_equal against a matrix of either kind, else NotImplemented."""
+        return matrices_equal(self, other) if isinstance(other, _Matrix) else NotImplemented
 
 
-def _matrix_eq(a, b) -> bool:
-    """a == b for either matrix kind: matrices_equal against a matrix, else NotImplemented."""
-    return matrices_equal(a, b) if isinstance(b, (MonomialMatrix, PolyMatrix)) else NotImplemented
-
-
-class MonomialMatrix:
+class MonomialMatrix(_Matrix):
     """2^order x 2^order matrix whose entries are powers of one polynomial.
 
     Row j is two byte strings: ``cols[j]`` holds its columns in ascending
@@ -116,7 +123,7 @@ class MonomialMatrix:
     ``rows[j]`` (row j as (column, exponent) pairs), ``grid`` or ``marked_rows``.
     """
 
-    __slots__ = ("order", "argument", "cols", "exps")
+    __slots__ = ("argument", "cols", "exps")
 
     def __init__(self, order: int, argument: Poly, rows):
         """Pack rows of (column, exponent) pairs; row j's columns must ascend within [0, j]."""
@@ -141,10 +148,6 @@ class MonomialMatrix:
         return m
 
     @property
-    def size(self) -> int:
-        return 1 << self.order
-
-    @property
     def rows(self) -> "_PairRows":
         return _PairRows(self)
 
@@ -157,9 +160,6 @@ class MonomialMatrix:
 
     def to_poly_matrix(self) -> "PolyMatrix":
         return PolyMatrix._raw(self.order, _entry_rows(self))
-
-    grid = _grid  # render runs once per stored exponent
-    __eq__ = _matrix_eq
 
     def marked_rows(self, mark):
         """Row j as j + 1 bytes: mark(e) where argument**e is stored, else 0; one mark per e."""
@@ -198,10 +198,10 @@ class _PairRows:
         return tuple(_pairs(self._matrix.cols[j], self._matrix.exps[j]))
 
 
-class PolyMatrix:
+class PolyMatrix(_Matrix):
     """Lower-triangular matrix of exact polynomials, zeros not stored."""
 
-    __slots__ = ("order", "_rows")
+    __slots__ = ("_rows",)
 
     def __init__(self, order: int, rows):
         """Rows map column -> Poly, row j's columns within [0, j]; zero entries are dropped."""
@@ -222,10 +222,6 @@ class PolyMatrix:
         m.order, m._rows = order, tuple(rows)
         return m
 
-    @property
-    def size(self) -> int:
-        return 1 << self.order
-
     def row(self, j: int) -> dict[int, Poly]:
         return dict(self._rows[j])
 
@@ -235,10 +231,8 @@ class PolyMatrix:
     def nonzero_count(self) -> int:
         return sum(len(row) for row in self._rows)
 
-    __eq__ = _matrix_eq
-
     def dump(self) -> str:
-        return "\n".join(_grid(self))
+        return "\n".join(self.grid())
 
     def __repr__(self) -> str:
         return f"PolyMatrix(order={self.order}, nonzeros={self.nonzero_count()})"
@@ -322,7 +316,7 @@ def identity(order: int) -> PolyMatrix:
     return PolyMatrix._raw(order, [{j: ONE} for j in range(1 << order)])
 
 
-def _entry_rows(m: MonomialMatrix | PolyMatrix, like: PolyMatrix | None = None):
+def _entry_rows(m: _Matrix, like: PolyMatrix | None = None):
     """Row j as {column: Poly} with ascending columns and no zero entry, for either form.
 
     argument**e is replaced by the entry of a PolyMatrix `like` of m's order at the first
@@ -344,7 +338,7 @@ def _entry_rows(m: MonomialMatrix | PolyMatrix, like: PolyMatrix | None = None):
     return rows if all(powers.values()) else ({k: p for k, p in r.items() if p} for r in rows)
 
 
-def _keyed(m: MonomialMatrix | PolyMatrix, unit: Poly | None = None):
+def _keyed(m: _Matrix, unit: Poly | None = None):
     """(packed columns, keys) rows and a key -> Poly lookup; a key is an exponent or an entry id.
 
     A unit side above order 0 is split, and each of its 1x1 blocks kept as
@@ -457,7 +451,7 @@ class _Blocks:
         return rows
 
 
-def _unit(m: MonomialMatrix | PolyMatrix) -> Poly | None:
+def _unit(m: _Matrix) -> Poly | None:
     """The argument of m when m is a MonomialMatrix of one term c*X^a*Y^b, else None."""
     terms = m.argument._terms if isinstance(m, MonomialMatrix) else {}
     return m.argument if len(terms) == 1 else None
@@ -466,7 +460,7 @@ def _unit(m: MonomialMatrix | PolyMatrix) -> Poly | None:
 def _check_operands(a, b) -> None:
     """Refuse an operand that is not a matrix of either kind, naming it, with TypeError."""
     for name, m in (("first", a), ("second", b)):
-        if not isinstance(m, (MonomialMatrix, PolyMatrix)):
+        if not isinstance(m, _Matrix):
             raise TypeError(f"the {name} operand must be a MonomialMatrix or a PolyMatrix, "
                             f"got {type(m).__name__}")
 

@@ -96,6 +96,13 @@ MUTANTS = (
            "{type(e) for _, e in row} - {int}", "{type(e) for _, e in row} - {int, bool, float}",
            ("tests/test_matrices.py::TestPackedRows"
             "::test_pair_constructor_refuses_exponent_that_is_not_an_int",)),
+    Mutant("_Matrix.__eq__ accepts only a MonomialMatrix", "matrices.py",
+           "if isinstance(other, _Matrix) else", "if isinstance(other, MonomialMatrix) else",
+           ("tests/test_matrices.py::TestBlockRecursion"
+            "::test_inverse_product_stores_only_its_diagonal",)),
+    Mutant("matmul and matrices_equal let a list through as an operand", "matrices.py",
+           "if not isinstance(m, _Matrix):", "if not isinstance(m, (_Matrix, list)):",
+           ("tests/test_matrices.py::TestMatMul::test_refuses_an_operand_that_is_not_a_matrix",)),
     Mutant("verify_group_law compares the product with itself", "identities.py",
            "build_recursive(order, X + Y))", "matmul(x, build_recursive(order, Y)))",
            ("tests/test_identities.py::TestVerifyGroupLaw"
@@ -121,6 +128,9 @@ MUTANTS = (
             "::test_failure_stops_at_first_cell",
             "tests/test_identities.py::TestTriangleMatrixCorrespondence"
             "::test_failure_counts_cells_up_to_a_missing_entry")),
+    Mutant("SizeLimitError is no ValueError", "digits.py",
+           "class SizeLimitError(ValueError):", "class SizeLimitError(Exception):",
+           ("tests/test_cli_corpus.py::test_every_argv_reproduces_its_recorded_bytes",)),
     Mutant("carry_free tests a | b for a & b", "digits.py",
            "return not a & b", "return not a | b",
            ("tests/test_digits.py::TestCarryFree::test_eight_plus_two",
@@ -129,6 +139,9 @@ MUTANTS = (
            "count += k % q > n % q", "count += k % q >= n % q",
            ("tests/test_digits.py::TestCarryCount::test_two_plus_two",
             "tests/test_identities.py::TestVerifyKummer::test_worked_example")),
+    Mutant("the expand subcommand runs cmd_digits", "cli.py",
+           "p.set_defaults(run=cmd_expand)", "p.set_defaults(run=cmd_digits)",
+           ("tests/test_cli_corpus.py::test_every_argv_reproduces_its_recorded_bytes",)),
 )
 
 

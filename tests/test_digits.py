@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sierpinski import SizeLimitError
 from sierpinski.digits import (
     PRIME_LIMIT,
     base_digits,
@@ -14,7 +15,6 @@ from sierpinski.digits import (
     is_prime,
     sum_of_digits,
 )
-from sierpinski.errors import SizeLimitError
 
 
 def digit_sum_by_division(value, base):

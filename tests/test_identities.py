@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sierpinski import identities
+from sierpinski import SizeLimitError, identities
 from sierpinski.algebra import X, Y, binomial, p_adic_valuation
 from sierpinski.digits import base_digits, carry_free, carry_rows, sum_of_digits
-from sierpinski.errors import SizeLimitError
 from sierpinski.identities import (
     Report,
     digital_expansion,

@@ -9,10 +9,9 @@ import tracemalloc
 
 import pytest
 
-from sierpinski import identities, matrices
+from sierpinski import SizeLimitError, identities, matrices
 from sierpinski.algebra import ONE, X, Y, ZERO, Poly
 from sierpinski.digits import carry_free, sum_of_digits
-from sierpinski.errors import SizeLimitError
 from sierpinski.matrices import (
     MAX_BUILD_ORDER,
     MonomialMatrix,
@@ -792,7 +791,10 @@ class TestPolyMatrix:
     def test_dump_matches_expanded_grid(self):
         for arg in (X, ONE, ZERO, X + Y, -X):
             m = build_recursive(3, arg)
-            assert m.dump() == m.to_poly_matrix().dump()
+            pm = m.to_poly_matrix()
+            assert m.dump() == pm.dump() == "\n".join(pm.grid())
+            for render, sep in ((str, "\t"), (Poly.pretty, " ")):
+                assert list(pm.grid(render, sep)) == list(m.grid(render, sep))
 
     def test_dump_one_by_one(self):
         assert build_recursive(0, X).dump() == "1"
