@@ -46,7 +46,6 @@ MAX_KUMMER_ROWS = 1024
 MAX_PASCAL_ROWS = 1 << 14
 MAX_M_BITS = 14_284  # 2^14284 < 10^4300, so m=... fits the default int-to-str digit limit
 _CELL_FORMAT = {2: "H", 4: "I", 8: "Q"}  # memoryview.cast codes for wide Pascal cells
-_CELL_STEP = 1 if sys.byteorder == "little" else -1  # a big-endian row holds cell n first
 
 
 class TermList:
@@ -137,8 +136,6 @@ _SUBTRACT = tuple(
 
 class PairCounts(dict):
     """(s(k), s(m-k)) -> multiplicity; `cases` is how many k in [0, m] were walked."""
-
-    cases = 0
 
 
 def exponent_pair_counts(m: int) -> PairCounts:
@@ -328,6 +325,8 @@ def _pascal_rows(rows: int, modulus: int):
     shift by one field forms every C(n, k-1) + C(n, k) <= 2 * modulus - 2 at
     once; `bias` (2^(field-1) - modulus a field) sets a field's top bit
     exactly where that sum reached the modulus, which is subtracted there.
+    On a big-endian host the cells come out in reverse, cell n first; a
+    Pascal row is a palindrome, C(n, k) = C(n, n - k), so it reads the same.
     """
     width = next(w for w in (1, 2, 4, 8) if 8 * w > modulus.bit_length())  # one byte below 128
     field = 8 * width
@@ -336,7 +335,7 @@ def _pascal_rows(rows: int, modulus: int):
     row = 1
     for n in range(rows):
         data = row.to_bytes(width * (n + 1), sys.byteorder)
-        yield (memoryview(data).cast(_CELL_FORMAT[width]) if width > 1 else data)[::_CELL_STEP]
+        yield (memoryview(data).cast(_CELL_FORMAT[width]) if width > 1 else data)
         row += row << field
         row -= modulus * (((row + bias) >> (field - 1)) & ones)
 

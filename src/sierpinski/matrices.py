@@ -1,10 +1,12 @@
 """The one-parameter Sierpinski matrix family, built two independent ways.
 
-``MonomialMatrix`` stores the family itself: every nonzero entry of S_n(arg)
-is arg raised to some power, so a row needs only its columns and their
-exponents, packed as bytes: the whole matrix costs 3^n times three bytes.
-``PolyMatrix`` holds full polynomial entries and is what products like
-S_n(X)*S_n(Y) live in.
+Both matrix kinds store a row the same way: its columns packed as uint16,
+and one key per column that stands for the entry.  ``MonomialMatrix``
+stores the family itself: every nonzero entry of S_n(arg) is arg raised to
+some power, so its keys are the exponents, one byte each, and the whole
+matrix costs 3^n times three bytes.  ``PolyMatrix`` holds full polynomial
+entries, its keys indexing a table of its entries, and is what
+products like S_n(X)*S_n(Y) live in.
 
 The two constructors are deliberately disjoint code paths:
 
@@ -20,12 +22,11 @@ Their agreement over all orders is one of the package's core checks.
 
 from __future__ import annotations
 
-import operator
 import struct
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .algebra import ONE, ZERO, Poly
 from .digits import SizeLimitError, _check_nonnegative
@@ -80,29 +81,36 @@ def _stored(flat: bytes) -> bytes:
     return _BYTES.translate(None, _BYTES.translate(None, flat))
 
 
-def _pack_columns(columns: list[int]) -> bytes:
+def _pack_columns(columns: list[int] | range) -> bytes:
     return struct.pack(f"{len(columns)}H", *columns)
 
 
-def _pairs(cols: bytes, exps: bytes):
-    """(column, exponent) pairs of one packed row."""
-    return zip(memoryview(cols).cast("H"), exps)
+def _pairs(cols: bytes, keys):
+    """(column, key) pairs of one packed row."""
+    return zip(memoryview(cols).cast("H"), keys)
 
 
 class _Matrix:
-    """What both kinds share: the order, the 2^order side, the full grid and ==."""
+    """What both kinds share: the order, the packed rows, the 2^order side, the grid and ==.
 
-    __slots__ = ("order",)
+    Row j is two sequences: ``cols[j]`` holds its columns in ascending order
+    as uint16 in the host byte order, and ``keys[j]`` one int key per column.
+    ``_values()`` maps each key to its entry, and absent columns are zero.
+    """
+
+    __slots__ = ("order", "cols", "keys")
 
     @property
     def size(self) -> int:
         return 1 << self.order
 
+    def nonzero_count(self) -> int:
+        return sum(map(len, self.keys))
+
     def grid(self, render=str, sep: str = "\t"):
-        """Lines of the full square grid, render run once per exponent or entry; zero is "0"."""
-        rows, values = _keyed(self)
-        tokens = {key: render(p) for key, p in values.items()}
-        for cols, keys in rows:
+        """Lines of the full square grid, render run once per key; zero is "0"."""
+        tokens = {key: render(p) for key, p in self._values().items()}
+        for cols, keys in zip(self.cols, self.keys):
             cells = ["0"] * self.size
             for k, key in _pairs(cols, keys):
                 cells[k] = tokens[key]
@@ -116,14 +124,13 @@ class _Matrix:
 class MonomialMatrix(_Matrix):
     """2^order x 2^order matrix whose entries are powers of one polynomial.
 
-    Row j is two byte strings: ``cols[j]`` holds its columns in ascending
-    order as uint16 in the host byte order, and ``exps[j]`` one exponent
-    byte per column.  Entry (j, k) is ``argument ** exponent`` and absent
-    columns are zero.  Only this module reads the bytes; other code reads
-    ``rows[j]`` (row j as (column, exponent) pairs), ``grid`` or ``marked_rows``.
+    Its keys are exponents: ``keys[j]`` holds one exponent byte per column,
+    and entry (j, k) is ``argument ** exponent``.  Only this module reads the
+    bytes; other code reads ``rows[j]`` (row j as (column, exponent) pairs),
+    ``grid`` or ``marked_rows``.
     """
 
-    __slots__ = ("argument", "cols", "exps")
+    __slots__ = ("argument",)
 
     def __init__(self, order: int, argument: Poly, rows):
         """Pack rows of (column, exponent) pairs; row j's columns must ascend within [0, j]."""
@@ -139,34 +146,40 @@ class MonomialMatrix(_Matrix):
         self.order = order
         self.argument = argument
         self.cols = tuple(map(_pack_columns, columns))
-        self.exps = tuple(bytes([e for _, e in row]) for row in rows)  # ValueError outside 0..255
+        self.keys = tuple(bytes([e for _, e in row]) for row in rows)  # ValueError outside 0..255
 
     @classmethod
-    def _packed(cls, order: int, argument: Poly, cols, exps) -> "MonomialMatrix":
+    def _packed(cls, order: int, argument: Poly, cols, keys) -> "MonomialMatrix":
         m = cls.__new__(cls)
-        m.order, m.argument, m.cols, m.exps = order, argument, tuple(cols), tuple(exps)
+        m.order, m.argument, m.cols, m.keys = order, argument, tuple(cols), tuple(keys)
         return m
 
     @property
     def rows(self) -> "_PairRows":
         return _PairRows(self)
 
-    def nonzero_count(self) -> int:
-        return sum(map(len, self.exps))
-
-    def _powers(self) -> dict[int, Poly]:
+    def _values(self) -> dict[int, Poly]:
         """argument**e for every stored exponent e, each computed once."""
-        return {e: self.argument**e for e in _stored(b"".join(self.exps))}
+        return {e: self.argument**e for e in _stored(b"".join(self.keys))}
 
     def to_poly_matrix(self) -> "PolyMatrix":
-        return PolyMatrix._raw(self.order, _entry_rows(self))
+        """The same rows, keyed by exponent; a zero power is dropped, as PolyMatrix stores no 0.
+
+        Only a zero argument has one, 0**e for e > 0.  Its rows go through
+        the PolyMatrix constructor, which drops it.
+        """
+        values = self._values()
+        if all(values.values()):
+            return PolyMatrix._packed(self.order, self.cols, map(tuple, self.keys), values)
+        rows = zip(self.cols, self.keys)
+        return PolyMatrix(self.order, ({k: values[e] for k, e in _pairs(*row)} for row in rows))
 
     def marked_rows(self, mark):
         """Row j as j + 1 bytes: mark(e) where argument**e is stored, else 0; one mark per e."""
         marks = bytearray(256)  # exponent -> its mark, for bytes.translate
-        for e in _stored(b"".join(self.exps)):
+        for e in _stored(b"".join(self.keys)):
             marks[e] = mark(e)
-        for j, (cols, exps) in enumerate(zip(self.cols, self.exps)):
+        for j, (cols, exps) in enumerate(zip(self.cols, self.keys)):
             row = bytearray(j + 1)
             for k, m in _pairs(cols, exps.translate(marks)):
                 row[k] = m
@@ -195,13 +208,20 @@ class _PairRows:
         return len(self._matrix.cols)
 
     def __getitem__(self, j: int) -> tuple[tuple[int, int], ...]:
-        return tuple(_pairs(self._matrix.cols[j], self._matrix.exps[j]))
+        return tuple(_pairs(self._matrix.cols[j], self._matrix.keys[j]))
 
 
 class PolyMatrix(_Matrix):
-    """Lower-triangular matrix of exact polynomials, zeros not stored."""
+    """Lower-triangular matrix of exact polynomials, zeros not stored.
 
-    __slots__ = ("_rows",)
+    ``keys[j]`` is a tuple of ints, and ``entries`` maps each key to its
+    entry.  No entry is zero.  Equal entries may have different keys, and
+    ``entries`` may hold more than the rows use, so only the stored
+    entries, never the keys, say what the matrix is.  The constructor keys
+    each entry by its id(), so one object stored in many places is one key.
+    """
+
+    __slots__ = ("entries",)
 
     def __init__(self, order: int, rows):
         """Rows map column -> Poly, row j's columns within [0, j]; zero entries are dropped."""
@@ -213,23 +233,25 @@ class PolyMatrix(_Matrix):
             if set(map(type, row.values())) - {Poly}:
                 raise ValueError(f"row {j} has an entry that is not a Poly")
             clean.append({k: row[k] for k in sorted(row) if row[k]})
-        self.order, self._rows = order, tuple(clean)
+        self.order, self.entries = order, {id(p): p for row in clean for p in row.values()}
+        self.cols = tuple(_pack_columns(list(row)) for row in clean)
+        self.keys = tuple(tuple(map(id, row.values())) for row in clean)
 
     @classmethod
-    def _raw(cls, order: int, rows) -> "PolyMatrix":
-        # internal: rows already canonical (columns ascending within [0, j], no zero entry)
+    def _packed(cls, order: int, cols, keys, entries: dict) -> "PolyMatrix":
+        # internal: columns ascending within [0, j], every key in entries, no zero entry
         m = cls.__new__(cls)
-        m.order, m._rows = order, tuple(rows)
+        m.order, m.cols, m.keys, m.entries = order, tuple(cols), tuple(keys), entries
         return m
 
+    def _values(self) -> dict[int, Poly]:
+        return self.entries
+
     def row(self, j: int) -> dict[int, Poly]:
-        return dict(self._rows[j])
+        return {k: self.entries[key] for k, key in _pairs(self.cols[j], self.keys[j])}
 
     def entry(self, j: int, k: int) -> Poly:
-        return self._rows[j].get(k, Poly())
-
-    def nonzero_count(self) -> int:
-        return sum(len(row) for row in self._rows)
+        return self.row(j).get(k, Poly())
 
     def dump(self) -> str:
         return "\n".join(self.grid())
@@ -313,53 +335,39 @@ def build_closed_form(n: int, argument: Poly) -> MonomialMatrix:
 
 def identity(order: int) -> PolyMatrix:
     _check_order(order)
-    return PolyMatrix._raw(order, [{j: ONE} for j in range(1 << order)])
+    rows = range(1 << order)
+    flat = _pack_columns(rows)
+    cols = (flat[2 * j : 2 * j + 2] for j in rows)
+    return PolyMatrix._packed(order, cols, [(0,)] * len(rows), {0: ONE})
 
 
-def _entry_rows(m: _Matrix, like: PolyMatrix | None = None):
-    """Row j as {column: Poly} with ascending columns and no zero entry, for either form.
-
-    argument**e is replaced by the entry of a PolyMatrix `like` of m's order at the first
-    place m stores e, where the two are equal: one Poly comparison per exponent.
-    """
-    if isinstance(m, PolyMatrix):
-        return iter(m._rows)
-    powers = m._powers()
-    if like is not None:
-        flat, starts = b"".join(m.exps), [0, *accumulate(map(len, m.exps))]
-        for e, p in powers.items():
-            at = flat.index(e)
-            j = bisect_right(starts, at) - 1  # flat[at] is in row j, at column index at - starts[j]
-            q = like._rows[j].get(memoryview(m.cols[j]).cast("H")[at - starts[j]], p)
-            powers[e] = q if q == p else p
-    get = powers.__getitem__
-    rows = (dict(zip(memoryview(c).cast("H"), map(get, x))) for c, x in zip(m.cols, m.exps))
-    # 0**e is dropped, as PolyMatrix does; only a zero argument has a zero power
-    return rows if all(powers.values()) else ({k: p for k, p in r.items() if p} for r in rows)
-
-
-def _keyed(m: _Matrix, unit: Poly | None = None):
-    """(packed columns, keys) rows and a key -> Poly lookup; a key is an exponent or an entry id.
-
-    A unit side above order 0 is split, and each of its 1x1 blocks kept as
-    u^0 (see matmul), so it looks up exponent 0 alone.
-    """
-    if isinstance(m, MonomialMatrix):
-        return tuple(zip(m.cols, m.exps)), {0: ONE} if unit and m.order else m._powers()
-    keys: dict[Poly, int] = {}
-    rows = tuple((_pack_columns(list(r)), tuple(keys.setdefault(p, len(keys)) for p in r.values()))
-                 for r in m._rows)
-    return rows, dict(enumerate(keys))
+def _flip(cols: bytes, bit: int) -> bytes:
+    """cols with bit `bit` of every uint16 column flipped: one byte lane through a table."""
+    lane = _HIGH_LANE if bit >= 8 else 1 - _HIGH_LANE
+    flipped = bytearray(cols)
+    flipped[lane::2] = flipped[lane::2].translate(_FLIP_BIT[bit & 7])
+    return bytes(flipped)
 
 
 class _Blocks:
-    """The tables of one matmul call, dropped with it: nothing in them refers back to them."""
+    """The tables of one matmul call, dropped with it: nothing in them refers back to them.
+
+    A block product is a list of rows (packed relative columns, tuple of keys),
+    as a PolyMatrix stores them; `table` maps a key to its entry.
+    """
 
     def __init__(self, values_a: dict, values_b: dict, units: tuple):
         self.values_a, self.values_b = values_a, values_b
         self.units = units  # per side, the argument of a one-term MonomialMatrix, or None
         self.blocks, self.quads = {}, {}  # block content -> kept tuple; kept id, flag -> quadrants
-        self.done, self.entries = {}, {}  # kept id pair -> product rows; each scaled entry by value
+        self.done = {}  # kept id pair -> product rows
+        self.entries, self.table = {}, {}  # entry -> its key; key -> entry
+
+    def key(self, p: Poly) -> int:
+        """p's key, interned by value: equal entries share a key, so they end as one object."""
+        key = self.entries.setdefault(p, len(self.entries))
+        self.table[key] = p  # a new key's entry, or one equal to it
+        return key
 
     def intern(self, block: tuple) -> tuple | None:
         """The kept tuple of a block's rows (packed relative columns, keys); None if empty."""
@@ -377,59 +385,60 @@ class _Blocks:
         """Quadrants 11, 12, 21, 22 of a block of order t, interned, columns made relative."""
         key = id(block), unit is None  # a unit takes each quadrant's least exponent out
         if key not in self.quads:
-            h, lane, left, right = 1 << t - 1, _HIGH_LANE if t > 8 else 1 - _HIGH_LANE, [], []
+            h, left, right = 1 << t - 1, [], []
             for cols, keys in block:
                 s = bisect_left(memoryview(cols).cast("H"), h)
-                shifted = bytearray(cols[2 * s :])  # every column here has bit t-1 set: clear it
-                shifted[lane::2] = shifted[lane::2].translate(_FLIP_BIT[t - 1 & 7])
                 left.append((cols[: 2 * s], keys[:s]))
-                right.append((bytes(shifted), keys[s:]))
+                rest = keys[s:]  # every column here has bit t-1 set: the flip clears it
+                right.append((_flip(cols[2 * s :], t - 1) if rest else b"", rest))
             parts = left[:h], right[:h], left[h:], right[h:]
             self.quads[key] = tuple(self.kept(part, unit) for part in parts)
         return self.quads[key]
 
-    def product(self, a: tuple, b: tuple, t: int) -> list[dict[int, Poly]]:
-        """Rows {column: Poly} of kept blocks a times b, both of order t, once per pair."""
+    def product(self, a: tuple, b: tuple, t: int) -> list[tuple]:
+        """Rows of kept blocks a times b, both of order t, once per pair."""
         key = id(a), id(b)
         if key not in self.done:
             if t:
                 self.done[key] = self.split(a, b, t)
             else:  # 1x1: one entry each side; a zero product (0**e times anything) is an empty row
                 p = self.values_a[a[0][1][0]] * self.values_b[b[0][1][0]]
-                self.done[key] = [{0: p} if p else {}]
+                self.done[key] = [(bytes(2), (self.key(p),)) if p else (b"", ())]
         return self.done[key]
 
-    def plus(self, x: dict, y: dict) -> dict:
-        """Sum of two {column: Poly} rows, sorted, zeros dropped; an empty row gives the other."""
-        if not x or not y:
-            return x or y
+    def plus(self, x: tuple, y: tuple) -> tuple:
+        """Sum of two rows, sorted, zeros dropped; an empty row gives the other."""
+        if not (x[1] and y[1]):
+            return x if x[1] else y
+        x, y = ({l: self.table[k] for l, k in _pairs(*row)} for row in (x, y))
         s = x | {l: x[l] + p if l in x else p for l, p in y.items()}
-        return {l: s[l] for l in sorted(s) if s[l]}
+        columns = [l for l in sorted(s) if s[l]]
+        return _pack_columns(columns), tuple(self.key(s[l]) for l in columns)
 
-    def scaled(self, rows: list, offsets: list) -> list[dict[int, Poly]]:
+    def scaled(self, rows: list, offsets: list) -> list[tuple]:
         """rows times the sum of u^i v^j over the offsets (i, j), u and v the sides' units.
 
-        Each distinct entry of rows is multiplied by that one factor once, and
-        the result interned by value, so equal entries stay one object.  Z[X, Y]
-        has no zero divisors, so only a zero factor gives zero entries: it empties every row.
+        Each distinct key of rows is mapped once, to the key of its entry times
+        that one factor.  Z[X, Y] has no zero divisors, so only a zero factor
+        gives zero entries: it empties every row.
         """
         if offsets == [(0, 0)]:
             return rows
         u, v = (unit or ONE for unit in self.units)
         factor = sum((u**i * v**j for i, j in offsets), ZERO)
         if not factor:  # C21 of S_n(x) S_n(-x): x S S - S x S
-            return [{}] * len(rows)
-        table = {}
-        for p in {id(p): p for row in rows for p in row.values()}.values():
-            q = p * factor
-            table[id(p)] = self.entries.setdefault(q, q)
-        return [dict(zip(row, map(table.__getitem__, map(id, row.values())))) for row in rows]
+            return [(b"", ())] * len(rows)
+        keys = set(chain.from_iterable(k for _, k in rows))
+        get = {k: self.key(self.table[k] * factor) for k in keys}.__getitem__
+        return [(c, tuple(map(get, k))) for c, k in rows]
 
-    def split(self, a: tuple, b: tuple, t: int) -> list[dict[int, Poly]]:
+    def split(self, a: tuple, b: tuple, t: int) -> list[tuple]:
         """C_rc = A_r0 B_0c + A_r1 B_1c over the quadrants, C_r1's columns moved right by h.
 
         (u^i A)(v^j B) = u^i v^j (AB): terms of C_rc with one kept pair share its product.
-        Columns ascend: C_r0's lie below h, C_r1's at h or above, each sorted by induction.
+        C_r1's relative columns are below h, so adding h sets bit t-1: the flip that
+        quadrants clears it with.  Columns ascend: C_r0's lie below h, C_r1's at h or
+        above, each sorted by induction, so a row of C is the two rows joined.
         """
         qa, qb = self.quadrants(a, t, self.units[0]), self.quadrants(b, t, self.units[1])
         h, rows = 1 << t - 1, []
@@ -441,13 +450,13 @@ class _Blocks:
                     (x, i), (y, j) = qa[2 * r + m], qb[2 * m + c]
                     if None not in (x, y):
                         pairs.setdefault((id(x), id(y)), [x, y, []])[2].append((i, j))
-                part = [{}] * h
+                part = [(b"", ())] * h
                 for x, y, offsets in pairs.values():
                     part = list(map(self.plus, part,
                                     self.scaled(self.product(x, y, t - 1), offsets)))
                 parts.append(part)
-            rows += ({**x, **dict(zip(map(h.__add__, y), y.values()))} if y else x
-                     for x, y in zip(*parts))
+            rows += ((c0 + _flip(c1, t - 1), k0 + k1) if k1 else (c0, k0)
+                     for (c0, k0), (c1, k1) in zip(*parts))
         return rows
 
 
@@ -473,11 +482,11 @@ def matmul(a, b) -> PolyMatrix:
     A_r1 B_1c, down to 1x1 blocks.  Where an operand's argument is one term
     u, a block is stored as u^i times its kept block, i being its least
     exponent, so each of its 1x1 blocks is kept as u^0.  A block is interned
-    by its content, packed relative columns and keys (exponents, or ids of a
-    PolyMatrix's distinct entries), and each pair of kept blocks is
+    by its content, packed relative columns and keys (exponents, or a
+    PolyMatrix's keys of distinct entries), and each pair of kept blocks is
     multiplied once per call.  A 1x1 product is one Poly.__mul__; the levels
     above add those entries, multiply each distinct one once by its block's
-    factor and keep equal results as one object.
+    factor and keep equal results as one object and one key.
 
     Every step is a Poly operation, so the product is exact.
 
@@ -494,28 +503,40 @@ def matmul(a, b) -> PolyMatrix:
     if a.order != b.order:
         raise ValueError(f"order mismatch: {a.order} != {b.order}")
     units = _unit(a), _unit(b)
-    (rows_a, values_a), (rows_b, values_b) = _keyed(a, units[0]), _keyed(b, units[1])
-    tables = _Blocks(values_a, values_b, units)
-    kept = tables.intern(rows_a), tables.intern(rows_b)
-    rows = [{}] * a.size if None in kept else tables.product(*kept, a.order)
-    return PolyMatrix._raw(a.order, rows)  # product rows ascend: see _Blocks.split
+    # a unit side above order 0 is split, and each of its 1x1 blocks kept as u^0
+    values = ({0: ONE} if unit and m.order else m._values() for m, unit in zip((a, b), units))
+    tables = _Blocks(*values, units)
+    kept = tables.intern(tuple(zip(a.cols, a.keys))), tables.intern(tuple(zip(b.cols, b.keys)))
+    rows = [(b"", ())] * a.size if None in kept else tables.product(*kept, a.order)
+    # product rows ascend: see _Blocks.split
+    return PolyMatrix._packed(a.order, *zip(*rows), tables.table)
+
+
+def _nonzero(m: _Matrix) -> tuple[_Matrix, dict]:
+    """m and its key -> entry map, through to_poly_matrix where m stores a zero power."""
+    values = m._values()
+    return (m, values) if all(values.values()) else _nonzero(m.to_poly_matrix())
 
 
 def matrices_equal(a, b) -> bool:
     """Exact entry-by-entry equality.
 
     Two MonomialMatrix objects with the same order, argument and packed
-    rows are equal without expansion: the rows compare as bytes.  Anything
-    else is compared one expanded row at a time, up to the first row that
-    differs, since different exponents can still give equal entries
-    (arguments 0, 1, -1).  A MonomialMatrix expands into a PolyMatrix's own
-    entries where they equal argument**e (_entry_rows); dict equality skips
-    Poly.__eq__ for identical entries only, so the result stays exact.
+    rows are equal without expansion: the rows compare as bytes.  Otherwise
+    a side that stores a zero power is made a PolyMatrix, which drops it, so
+    both sides store exactly their nonzero entries.  Then the matrices are
+    equal when their columns are (one packed row per row, so the orders
+    too), and when each distinct pair of keys that meet at one place holds
+    equal entries: one Poly comparison per pair.
+    The keys themselves are never compared, since different exponents can
+    give equal entries (arguments 1, -1), and so can different keys of a
+    PolyMatrix.
     """
     _check_operands(a, b)
     if isinstance(a, MonomialMatrix) and isinstance(b, MonomialMatrix) and (
-        (a.order, a.argument, a.cols, a.exps) == (b.order, b.argument, b.cols, b.exps)
+        (a.order, a.argument, a.cols, a.keys) == (b.order, b.argument, b.cols, b.keys)
     ):
         return True
-    like = next((m for m in (a, b) if isinstance(m, PolyMatrix)), None)
-    return a.order == b.order and all(map(operator.eq, _entry_rows(a, like), _entry_rows(b, like)))
+    (a, values_a), (b, values_b) = _nonzero(a), _nonzero(b)
+    pairs = chain.from_iterable(map(zip, a.keys, b.keys))  # read only if the columns agree
+    return a.cols == b.cols and all(values_a[x] == values_b[y] for x, y in set(pairs))

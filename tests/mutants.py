@@ -53,26 +53,43 @@ MUTANTS = (
            "return Poly._raw(dict([min(terms.items())])) if terms else None",
            ("tests/test_matrices.py::TestMatMul::test_against_dense_oracle",)),
     Mutant("matmul has no value for a unit side's kept exponent 0", "matrices.py",
-           "{0: ONE} if unit and m.order", "m._powers() if unit and m.order",
+           "{0: ONE} if unit and m.order", "m._values() if unit and m.order",
            ("tests/test_matrices.py::TestBlockRecursion::test_least_stored_exponent_above_zero",)),
     Mutant("matmul looks up only u^0 for an order-0 unit side", "matrices.py",
            "if unit and m.order else", "if unit else",
            ("tests/test_matrices.py::TestBlockRecursion::test_least_stored_exponent_above_zero",)),
-    Mutant("matmul keeps equal scaled entries as separate objects", "matrices.py",
-           "table[id(p)] = self.entries.setdefault(q, q)", "table[id(p)] = q",
+    Mutant("matmul interns its entries by object, not by value", "matrices.py",
+           "self.entries.setdefault(p, len(self.entries))",
+           "self.entries.setdefault(id(p), len(self.entries))",
            ("tests/test_matrices.py::TestBlockRecursion::test_equal_entries_are_one_object",)),
-    Mutant("matrices_equal takes the PolyMatrix's entry as argument**e unchecked", "matrices.py",
-           "powers[e] = q if q == p else p", "powers[e] = q",
+    Mutant("matmul's scaled keeps key 0 unscaled", "matrices.py",
+           "{k: self.key(self.table[k] * factor) for k in keys}",
+           "{k: self.key(self.table[k] * factor) if k else k for k in keys}",
+           ("tests/test_matrices.py::TestMatMul::test_group_law_small_orders",)),
+    Mutant("matmul merges C_r1 without the lane flip", "matrices.py",
+           "(c0 + _flip(c1, t - 1), k0 + k1)", "(c0 + c1, k0 + k1)",
+           ("tests/test_matrices.py::TestMatMul::test_group_law_small_orders",
+            "tests/test_matrices.py::TestMatMul::test_order_one_product")),
+    Mutant("matrices_equal skips the column check", "matrices.py",
+           "return a.cols == b.cols and all(", "return all(",
            ("tests/test_matrices.py::TestMatricesEqualAcrossRepresentations"
-            "::test_wrong_entry_at_the_first_place_of_an_exponent_differs",
+            "::test_same_entries_at_other_columns_differ",
             "tests/test_matrices.py::TestMatricesEqualAcrossRepresentations"
-            "::test_coinciding_and_vanishing_powers_are_exact")),
+            "::test_different_orders_differ_across_representations")),
+    Mutant("matrices_equal never drops a zero power", "matrices.py",
+           "return (m, values) if all(values.values())", "return (m, values) if True",
+           ("tests/test_matrices.py::TestMatricesEqualAcrossRepresentations"
+            "::test_coinciding_and_vanishing_powers_are_exact",
+            "tests/test_matrices.py::TestStructure::test_zero_argument_gives_identity")),
+    Mutant("identity has 2^(order+1) rows", "matrices.py",
+           "rows = range(1 << order)", "rows = range(2 << order)",
+           ("tests/test_matrices.py::TestPackedRows::test_identity_has_one_row_per_index",)),
     Mutant("matmul stores the zero entries of a zero factor", "matrices.py",
            "if not factor:", "if False:",
            ("tests/test_matrices.py::TestBlockRecursion"
             "::test_inverse_product_stores_only_its_diagonal",)),
     Mutant("matmul leaves a summed row's columns unsorted", "matrices.py",
-           "for l in sorted(s) if s[l]}", "for l in s if s[l]}",
+           "columns = [l for l in sorted(s) if s[l]]", "columns = [l for l in s if s[l]]",
            ("tests/test_matrices.py::TestBlockRecursion::test_product_rows_ascend_after_a_sum",)),
     Mutant("build_closed_form's submask table holds one non-submask", "matrices.py",
            "if k & v == k)", "if k & v == k or (v, k) == (9, 2))",
@@ -107,6 +124,17 @@ MUTANTS = (
            "build_recursive(order, X + Y))", "matmul(x, build_recursive(order, Y)))",
            ("tests/test_identities.py::TestVerifyGroupLaw"
             "::test_one_corrupted_exponent_in_s_y_fails",)),
+    Mutant("verify_digital_binomial refuses m of exactly MAX_M_BITS bits", "identities.py",
+           "if m.bit_length() > MAX_M_BITS:", "if m.bit_length() >= MAX_M_BITS:",
+           ("tests/test_identities.py::TestVerifyDigitalBinomial"
+            "::test_bit_cap_refuses_before_the_walk",)),
+    Mutant("MAX_M_BITS is one bit larger", "identities.py",
+           "MAX_M_BITS = 14_284", "MAX_M_BITS = 14_284 + 1",
+           ("tests/test_identities.py::TestVerifyDigitalBinomial"
+            "::test_bit_cap_refuses_before_the_walk",)),
+    Mutant("pascal_mod refuses exactly MAX_PASCAL_ROWS rows", "identities.py",
+           "if rows > MAX_PASCAL_ROWS:", "if rows >= MAX_PASCAL_ROWS:",
+           ("tests/test_identities.py::TestPascalMod::test_row_limit",)),
     Mutant("verify_digital_binomial compares (X+Y)^s(m) with itself", "identities.py",
            "passed = lhs == rhs", "passed = lhs == lhs",
            ("tests/test_identities.py::TestVerifyDigitalBinomial::test_corrupted_pair_count_fails",)),
@@ -139,6 +167,23 @@ MUTANTS = (
            "count += k % q > n % q", "count += k % q >= n % q",
            ("tests/test_digits.py::TestCarryCount::test_two_plus_two",
             "tests/test_identities.py::TestVerifyKummer::test_worked_example")),
+    Mutant("matrix --check compares the chosen builder with itself", "cli.py",
+           'other = "closed" if args.construction == "kronecker" else "kronecker"',
+           "other = args.construction",
+           ("tests/test_cli.py::TestMatrix"
+            "::test_check_compares_the_chosen_builder_with_the_other",)),
+    Mutant("matrix --construction closed runs build_recursive", "cli.py",
+           'if construction == "closed":', 'if construction == "kronecker":',
+           ("tests/test_cli.py::TestMatrix::test_closed_construction_calls_the_closed_form",)),
+    Mutant("a closed stdout exits 142", "cli.py",
+           "BROKEN_PIPE = 141", "BROKEN_PIPE = 142",
+           ("tests/test_cli.py::TestContract::test_closed_stdout_exits_quietly",)),
+    Mutant("verify binomial defaults to --max-m 512", "cli.py",
+           "default=1024)", "default=512)",
+           ("tests/test_cli_corpus.py::test_every_argv_reproduces_its_recorded_bytes",)),
+    Mutant("verify kummer defaults to --max-n 32", "cli.py",
+           "default=64)", "default=32)",
+           ("tests/test_cli_corpus.py::test_every_argv_reproduces_its_recorded_bytes",)),
     Mutant("the expand subcommand runs cmd_digits", "cli.py",
            "p.set_defaults(run=cmd_expand)", "p.set_defaults(run=cmd_digits)",
            ("tests/test_cli_corpus.py::test_every_argv_reproduces_its_recorded_bytes",)),

@@ -162,6 +162,34 @@ class TestMatrix:
         b = run_cli("matrix", "4", "--construction", "closed")
         assert a.stdout == b.stdout
 
+    def test_closed_construction_calls_the_closed_form(self, monkeypatch):
+        built = []
+        closed = matrices.build_closed_form
+        monkeypatch.setattr(matrices, "build_closed_form",
+                            lambda n, arg: built.append(n) or closed(n, arg))
+        run_cli("matrix", "4", "--construction", "closed")
+        run_cli("matrix", "3", "--construction", "kronecker")
+        assert built == [4]
+
+    @pytest.mark.parametrize("construction", ["kronecker", "closed"])
+    @pytest.mark.parametrize("stubbed", ["build_recursive", "build_closed_form"])
+    def test_check_compares_the_chosen_builder_with_the_other(self, monkeypatch, stubbed,
+                                                               construction):
+        # one builder returns S_4(x) with one exponent raised; whichever builder --construction
+        # names, --check builds the other one too, so the two disagree
+        build = getattr(matrices, stubbed)
+
+        def corrupted(n, arg):
+            rows = [list(row) for row in build(n, arg).rows]
+            k, e = rows[13][1]
+            rows[13][1] = (k, e + 1)
+            return matrices.MonomialMatrix(n, arg, rows)
+
+        monkeypatch.setattr(matrices, stubbed, corrupted)
+        result = run_cli("matrix", "4", "--check", "--construction", construction)
+        assert result.returncode == 1
+        assert "status: fail" in result.stdout
+
     def test_check_flag(self):
         result = run_cli("matrix", "5", "--check")
         assert result.returncode == 0
@@ -570,7 +598,7 @@ class TestContract:
             )
         finally:
             os.close(write)
-        assert result.returncode == cli.BROKEN_PIPE  # neither 0 (success) nor 1 (counterexample)
+        assert result.returncode == 141  # the documented status, neither 0 nor 1 (counterexample)
         assert result.stderr == b""
 
     def test_output_file(self, tmp_path):

@@ -176,6 +176,7 @@ class TestVerifyDigitalBinomial:
         from sierpinski import identities
 
         assert verify_digital_binomial(1 << 14000).passed
+        assert verify_digital_binomial(1 << 14283).passed  # 14,284 bits, 4,300 digits: the cap
 
         def walk_nothing(m):
             raise AssertionError("walk started")
@@ -185,6 +186,8 @@ class TestVerifyDigitalBinomial:
             verify_digital_binomial(1 << 20000)
         with pytest.raises(SizeLimitError, match="cap"):
             verify_digital_binomial(1 << identities.MAX_M_BITS)
+        with pytest.raises(SizeLimitError, match="^m has 14285 bits, past the cap of 14284$"):
+            verify_digital_binomial(3 << 14283)  # 4,301 digits
 
     def test_report_text_fields(self):
         text = verify_digital_binomial(3).to_text()
@@ -583,6 +586,9 @@ class TestPascalMod:
     def test_row_limit(self):
         with pytest.raises(SizeLimitError):
             pascal_mod((1 << 14) + 1, 2)
+        assert bytes(next(pascal_mod(identities.MAX_PASCAL_ROWS, 2))) == b"\x01"  # the limit itself
+        with pytest.raises(SizeLimitError, match="^rows = 16385 exceeds the limit 16384$"):
+            pascal_mod(identities.MAX_PASCAL_ROWS + 1, 2)
 
 
 class TestTriangleMatrixCorrespondence:

@@ -137,7 +137,7 @@ class TestBuildClosedForm:
         for n, want in enumerate(self.PACKED):
             m = build_closed_form(n, arg)
             digest = hashlib.sha256()
-            for cols, exps in zip(m.cols, m.exps):
+            for cols, exps in zip(m.cols, m.keys):
                 little = array.array("H", cols)
                 if sys.byteorder == "big":
                     little.byteswap()
@@ -182,7 +182,7 @@ class TestConstructionEquivalence:
         # the per-entry submask oracle stops at n = 10; above it the two
         # independent builders pin each other byte for byte
         a, b = build_recursive(n, arg), build_closed_form(n, arg)
-        assert (a.cols, a.exps) == (b.cols, b.exps)
+        assert (a.cols, a.keys) == (b.cols, b.keys)
 
     def test_family_at_one_is_binary_family(self):
         # S_n(1): entries are 0/1 with 1 exactly at submask positions
@@ -244,6 +244,14 @@ class TestMatricesEqualAcrossRepresentations:
         rows[6][1] = X  # 1 is no submask of 6 = 0b110
         extra = PolyMatrix(3, rows)
         assert not matrices_equal(m, extra) and not matrices_equal(extra, m)
+
+    def test_same_entries_at_other_columns_differ(self):
+        # S_3(1) stores 1 at the submasks of j; moved to columns 0 .. 2^s(j) - 1, every row
+        # keeps its entries and their count, but not their places
+        m = build_recursive(3, ONE)
+        moved = PolyMatrix(3, [{k: ONE for k in range(len(m.rows[j]))} for j in range(m.size)])
+        assert moved.nonzero_count() == m.nonzero_count()
+        assert not matrices_equal(m, moved) and not matrices_equal(moved, m)
 
     @staticmethod
     def places(m: MonomialMatrix, e: int) -> list[tuple[int, int]]:
@@ -645,7 +653,7 @@ class TestPackedRows:
     def test_pair_constructor_packs_like_the_builders(self):
         m = build_recursive(6, X)
         again = MonomialMatrix(6, X, m.rows)
-        assert (again.cols, again.exps) == (m.cols, m.exps)
+        assert (again.cols, again.keys) == (m.cols, m.keys)
 
     def test_pair_constructor_refuses_wrong_row_count(self):
         with pytest.raises(ValueError, match="expected 4 rows, got 1"):
@@ -709,11 +717,17 @@ class TestPackedRows:
                 with pytest.raises(SizeLimitError, match=limit.format(n, count)):
                     make(n)
 
+    def test_identity_has_one_row_per_index(self):
+        for n in range(5):
+            m = identity(n)
+            assert len(m.cols) == len(m.keys) == m.nonzero_count() == 1 << n
+            assert [m.row(j) for j in range(1 << n)] == [{j: ONE} for j in range(1 << n)]
+
     def test_identity_at_the_build_cap(self):
         canonical = PolyMatrix(MAX_BUILD_ORDER, [{j: ONE} for j in range(1 << MAX_BUILD_ORDER)])
         assert identity(MAX_BUILD_ORDER) == canonical
 
-    @pytest.mark.parametrize("field", ["cols", "exps"])
+    @pytest.mark.parametrize("field", ["cols", "keys"])
     def test_one_corrupted_byte_fails_equality_and_group_law(self, monkeypatch, field):
         wrong = corrupted(build_recursive(6, X), field)
         assert not matrices_equal(wrong, build_closed_form(6, X))
@@ -744,7 +758,7 @@ class TestPackedRows:
         monkeypatch.setattr(matrices, "_HIGH_LANE", 1 - matrices._HIGH_LANE)
         for build in (build_recursive, build_closed_form):
             other = build(10, X)
-            assert other.exps == here.exps
+            assert other.keys == here.keys
             for cols, want in zip(other.cols, here.cols):
                 swapped = array.array("H", cols)
                 swapped.byteswap()
@@ -754,7 +768,7 @@ class TestPackedRows:
         # columns are uint16 and exponents one byte each
         assert MAX_BUILD_ORDER <= 16
         m = build_recursive(MAX_BUILD_ORDER, X)
-        assert max(b"".join(m.exps)) == MAX_BUILD_ORDER <= 255
+        assert max(b"".join(m.keys)) == MAX_BUILD_ORDER <= 255
         assert max(memoryview(m.cols[-1]).cast("H")) == m.size - 1 < 1 << 16
 
 
